@@ -234,7 +234,7 @@ void bench_fleet(bool quick) {
     gw->magmad = std::make_unique<agw::Magmad>(
         kernel, id, gw->client_node.get(), *gw->subscribers, gw->policies,
         []() { return common::Bytes{}; },
-        []() { return std::vector<orc8r::MetricSample>{}; }, config);
+        []() { return orc8r::TelemetryReport{}; }, config);
     orc8r.bind(*gw->server_node);
     const sim::Duration offset =
         static_cast<sim::Duration>(i) * (30 * sim::kSecond) / kFleet;

@@ -109,7 +109,7 @@ int main() {
     gw->magmad = std::make_unique<agw::Magmad>(
         kernel, id, gw->client_node.get(), *gw->subscribers, gw->policies,
         []() { return common::Bytes{}; },
-        []() { return std::vector<orc8r::MetricSample>{}; }, config);
+        []() { return orc8r::TelemetryReport{}; }, config);
     orc8r.bind(*gw->server_node);
     // Stagger boots across one poll interval so the orchestrator sees a
     // steady poll stream, not 1000 simultaneous RPCs.

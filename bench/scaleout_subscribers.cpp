@@ -8,7 +8,7 @@
 //     once and the gateway converges on all 1M entries.
 //   * Sketch scale: four gateways feed per-IMSI outcomes into SpaceSaving /
 //     HyperLogLog sketches and ship them over the real RPC path (magmad
-//     metrics tick → kReportSketches → metricsd). The fleet-merged top-K
+//     metrics tick → telemetry report → metricsd). The fleet-merged top-K
 //     names the planted worst offenders EXACTLY (keys and order), with
 //     sound bounds and exemplar trace ids.
 //   * Distinct-active: the fleet HLL estimate lands within 5% of the true
@@ -57,7 +57,8 @@ struct Gateway {
 std::unique_ptr<Gateway> make_gateway(sim::Kernel& kernel, sim::Rng& rng,
                                       orc8r::Orchestrator& orc8r,
                                       const std::string& id,
-                                      const agw::MagmadConfig& config) {
+                                      const agw::MagmadConfig& config,
+                                      bool ship_sketch) {
   auto gw = std::make_unique<Gateway>();
   gw->link =
       std::make_unique<net::DuplexLink>(kernel, rng, sim::fiber_backhaul());
@@ -68,10 +69,16 @@ std::unique_ptr<Gateway> make_gateway(sim::Kernel& kernel, sim::Rng& rng,
       std::make_unique<rpc::RpcNode>(kernel, *gw->channels.b, "agw-client");
   gw->subscribers =
       std::make_unique<agw::SubscriberDb>([&rng]() { return rng.next_u64(); });
+  const obs::sketch::SubscriberSketches* sketches = &gw->sketches;
   gw->magmad = std::make_unique<agw::Magmad>(
       kernel, id, gw->client_node.get(), *gw->subscribers, gw->policies,
       []() { return common::Bytes{}; },
-      []() { return std::vector<orc8r::MetricSample>{}; }, config);
+      [ship_sketch, sketches, &kernel, id]() {
+        orc8r::TelemetryReport report;
+        if (ship_sketch) report.sketch = sketches->snapshot(id, kernel.now());
+        return report;
+      },
+      config);
   orc8r.bind(*gw->server_node);
   return gw;
 }
@@ -133,11 +140,8 @@ int main(int argc, char** argv) {
   for (int g = 0; g < kSketchGateways; ++g) {
     char id[16];
     std::snprintf(id, sizeof(id), "sketch-gw%d", g);
-    auto gw = make_gateway(kernel, rng, orc8r, id, sketch_config);
-    obs::sketch::SubscriberSketches* sk = &gw->sketches;
-    gw->magmad->set_sketch_source([sk, &kernel, id = std::string(id)]() {
-      return sk->snapshot(id, kernel.now());
-    });
+    auto gw = make_gateway(kernel, rng, orc8r, id, sketch_config,
+                           /*ship_sketch=*/true);
     gw->magmad->start();
     fleet.push_back(std::move(gw));
   }
@@ -222,7 +226,9 @@ int main(int argc, char** argv) {
               "IMSIs each):\n",
               kSketchGateways, kNoisePerGateway);
   std::uint64_t reports_sent = 0;
-  for (const auto& gw : fleet) reports_sent += gw->magmad->stats().sketch_reports_sent;
+  for (const auto& gw : fleet) {
+    reports_sent += gw->magmad->stats().metric_reports_sent;
+  }
   check(reports_sent >= static_cast<std::uint64_t>(kSketchGateways),
         "every gateway shipped a sketch report on the metrics tick",
         failures);
@@ -291,7 +297,8 @@ int main(int argc, char** argv) {
   sync_config.checkin_interval = sim::kHour;
   sync_config.checkpoint_interval = sim::kHour;
   sync_config.event_flush_interval = sim::kHour;
-  auto sync_gw = make_gateway(kernel, rng, orc8r, "sync-gw", sync_config);
+  auto sync_gw = make_gateway(kernel, rng, orc8r, "sync-gw", sync_config,
+                              /*ship_sketch=*/false);
   const std::uint64_t sync_allocs_before =
       obs::HostProfiler::process_alloc_count();
   phase_start = std::chrono::steady_clock::now();

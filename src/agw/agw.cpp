@@ -162,16 +162,17 @@ void AccessGateway::connect_orchestrator(net::Channel& channel,
   magmad_ = std::make_unique<Magmad>(
       kernel_, id_.value, orc8r_node_.get(), subscriberdb_, policydb_,
       [this]() { return checkpoint(); },
-      [this]() { return telemetry_snapshot(); }, magmad_config, &events_,
-      [this]() { return histogram_snapshot(); },
-      [this]() { return status_.snapshot(); });
-  magmad_->set_trace_source([this]() {
-    return tail_sampler_ != nullptr ? tail_sampler_->drain_ready()
-                                    : std::vector<obs::TraceSummary>{};
-  });
-  magmad_->set_sketch_source([this]() {
-    return subscriber_sketches_.snapshot(id_.value, kernel_.now());
-  });
+      [this]() {
+        orc8r::TelemetryReport report;
+        report.samples = telemetry_snapshot();
+        report.histograms = histogram_snapshot();
+        if (tail_sampler_ != nullptr) {
+          report.summaries = tail_sampler_->drain_ready();
+        }
+        report.sketch = subscriber_sketches_.snapshot(id_.value, kernel_.now());
+        return report;
+      },
+      magmad_config, &events_, [this]() { return status_.snapshot(); });
   // Fleet tail budget: checkin responses can reassign the sampler's
   // keep-per-op K. Remember it in tail_config_ too, so a sampler rebuilt by
   // a later set_tracer() keeps the assigned budget.

@@ -12,10 +12,8 @@ Magmad::Magmad(sim::Kernel& kernel, std::string gateway_id,
                rpc::RpcNode* orc8r, SubscriberDb& subscribers,
                PolicyDb& policies,
                std::function<common::Bytes()> checkpoint_source,
-               std::function<std::vector<orc8r::MetricSample>()> metric_source,
+               std::function<orc8r::TelemetryReport()> telemetry_source,
                MagmadConfig config, obs::EventBuffer* events,
-               std::function<std::vector<orc8r::HistogramSnapshot>()>
-                   histogram_source,
                std::function<std::vector<obs::ServiceStatus>()> status_source)
     : kernel_(kernel),
       gateway_id_(std::move(gateway_id)),
@@ -23,10 +21,9 @@ Magmad::Magmad(sim::Kernel& kernel, std::string gateway_id,
       subscribers_(subscribers),
       policies_(policies),
       checkpoint_source_(std::move(checkpoint_source)),
-      metric_source_(std::move(metric_source)),
+      telemetry_source_(std::move(telemetry_source)),
       config_(config),
       events_(events),
-      histogram_source_(std::move(histogram_source)),
       status_source_(std::move(status_source)) {}
 
 void Magmad::set_status(obs::Service303* status) {
@@ -42,11 +39,20 @@ void Magmad::set_reachable(bool up) {
 void Magmad::start() {
   if (started_ || orc8r_ == nullptr) return;
   started_ = true;
-  config_tick();
-  checkin_tick();
-  metrics_tick();
-  checkpoint_tick();
-  if (events_ != nullptr) event_tick();
+  run_loop(config_.config_poll_interval, &Magmad::config_tick);
+  run_loop(config_.checkin_interval, &Magmad::checkin_tick);
+  run_loop(config_.metrics_interval, &Magmad::metrics_tick);
+  run_loop(config_.checkpoint_interval, &Magmad::checkpoint_tick);
+  if (events_ != nullptr) {
+    run_loop(config_.event_flush_interval, &Magmad::event_tick);
+  }
+}
+
+void Magmad::run_loop(sim::Duration interval,
+                      sim::Duration (Magmad::*tick)()) {
+  const sim::Duration next = wedged_ ? interval : (this->*tick)();
+  kernel_.schedule(next,
+                   [this, interval, tick]() { run_loop(interval, tick); });
 }
 
 void Magmad::apply(const orc8r::DesiredState& state) {
@@ -182,20 +188,12 @@ void Magmad::sync_config_now(std::function<void(bool)> done) {
       });
 }
 
-void Magmad::config_tick() {
-  if (wedged_) {
-    kernel_.schedule(config_.config_poll_interval, [this]() { config_tick(); });
-    return;
-  }
+sim::Duration Magmad::config_tick() {
   sync_config_now();
-  kernel_.schedule(config_.config_poll_interval, [this]() { config_tick(); });
+  return config_.config_poll_interval;
 }
 
-void Magmad::checkin_tick() {
-  if (wedged_) {
-    kernel_.schedule(config_.checkin_interval, [this]() { checkin_tick(); });
-    return;
-  }
+sim::Duration Magmad::checkin_tick() {
   rpc::Writer w;
   w.str(gateway_id_);
   w.str("agw");
@@ -233,7 +231,7 @@ void Magmad::checkin_tick() {
                    set_reachable(false);
                  }
                });
-  kernel_.schedule(config_.checkin_interval, [this]() { checkin_tick(); });
+  return config_.checkin_interval;
 }
 
 bool Magmad::shed_telemetry() {
@@ -300,92 +298,35 @@ std::vector<orc8r::HistogramSnapshot> Magmad::prepare_histogram_report(
   return out;
 }
 
-void Magmad::metrics_tick() {
-  if (wedged_) {
-    kernel_.schedule(config_.metrics_interval, [this]() { metrics_tick(); });
-    return;
-  }
-  if (shed_telemetry()) {
-    kernel_.schedule(config_.metrics_interval, [this]() { metrics_tick(); });
-    return;
-  }
-  const std::vector<orc8r::MetricSample> samples = metric_source_();
-  if (!samples.empty()) {
-    // Best effort (§3.4 metrics state): one attempt, short deadline, losses
-    // tolerated.
-    obs::svc_request(status_);
-    orc8r_->call(orc8r::kMetricsService, orc8r::kReportMetrics,
-                 orc8r::encode_metric_report(samples), config_.rpc_deadline,
-                 [this](rpc::Result<rpc::Bytes> result) {
-                   if (result.ok()) {
-                     ++stats_.metric_reports_sent;
-                   } else {
-                     ++stats_.metric_reports_lost;
-                   }
-                 });
-  }
-  if (histogram_source_) {
-    std::vector<orc8r::HistogramSnapshot> snapshots =
-        prepare_histogram_report(histogram_source_());
-    if (!snapshots.empty()) {
-      obs::svc_request(status_);
-      orc8r_->call(orc8r::kMetricsService, orc8r::kReportHistograms,
-                   orc8r::encode_histogram_report(snapshots),
-                   config_.rpc_deadline,
-                   [this](rpc::Result<rpc::Bytes> result) {
-                     if (result.ok()) {
-                       ++stats_.histogram_reports_sent;
-                     } else {
-                       ++stats_.histogram_reports_lost;
-                       // Metricsd may have missed the base these deltas were
-                       // built on — re-ship everything full next tick.
-                       last_shipped_counts_.clear();
-                       last_shipped_exemplars_.clear();
-                     }
-                   });
-    }
-  }
-  if (trace_source_) {
-    const std::vector<obs::TraceSummary> summaries = trace_source_();
-    if (!summaries.empty()) {
-      const std::size_t count = summaries.size();
-      obs::svc_request(status_);
-      orc8r_->call(orc8r::kMetricsService, orc8r::kReportTraceSummaries,
-                   obs::encode_trace_summaries(summaries),
-                   config_.rpc_deadline,
-                   [this, count](rpc::Result<rpc::Bytes> result) {
-                     if (result.ok()) {
-                       ++stats_.trace_reports_sent;
-                       stats_.trace_summaries_shipped += count;
-                     } else {
-                       ++stats_.trace_reports_lost;
-                     }
-                   });
-    }
-  }
-  if (sketch_source_) {
-    // Cumulative snapshot, like histograms: a lost report costs nothing,
-    // the next tick's snapshot supersedes it.
-    obs::svc_request(status_);
-    orc8r_->call(orc8r::kMetricsService, orc8r::kReportSketches,
-                 obs::sketch::encode_sketch_report(sketch_source_()),
-                 config_.rpc_deadline,
-                 [this](rpc::Result<rpc::Bytes> result) {
-                   if (result.ok()) {
-                     ++stats_.sketch_reports_sent;
-                   } else {
-                     ++stats_.sketch_reports_lost;
-                   }
-                 });
-  }
-  kernel_.schedule(config_.metrics_interval, [this]() { metrics_tick(); });
+sim::Duration Magmad::metrics_tick() {
+  if (shed_telemetry()) return config_.metrics_interval;
+  orc8r::TelemetryReport report = telemetry_source_();
+  report.gateway_id = gateway_id_;
+  report.histograms = prepare_histogram_report(std::move(report.histograms));
+  if (report.empty()) return config_.metrics_interval;
+  const std::size_t summaries = report.summaries.size();
+  // Best effort (§3.4 metrics state): one attempt, short deadline, losses
+  // tolerated. Histograms and the sketch are cumulative, so the next
+  // report supersedes a lost one.
+  obs::svc_request(status_);
+  orc8r_->call(orc8r::kMetricsService, orc8r::kReportMetrics,
+               orc8r::encode_telemetry_report(report), config_.rpc_deadline,
+               [this, summaries](rpc::Result<rpc::Bytes> result) {
+                 if (result.ok()) {
+                   ++stats_.metric_reports_sent;
+                   stats_.trace_summaries_shipped += summaries;
+                 } else {
+                   ++stats_.metric_reports_lost;
+                   // Metricsd may have missed the base the histogram deltas
+                   // were built on — re-ship everything full next tick.
+                   last_shipped_counts_.clear();
+                   last_shipped_exemplars_.clear();
+                 }
+               });
+  return config_.metrics_interval;
 }
 
-void Magmad::event_tick() {
-  if (wedged_) {
-    kernel_.schedule(config_.event_flush_interval, [this]() { event_tick(); });
-    return;
-  }
+sim::Duration Magmad::event_tick() {
   // Backpressure-paced drain: ship batches until the buffer is empty or the
   // channel already holds telemetry_backpressure unacked messages. Each
   // batch sent occupies one slot, so the loop self-limits — a deep
@@ -438,23 +379,13 @@ void Magmad::event_tick() {
   // backlog, or a congested channel we are shedding around) is re-checked
   // every second — a cheap local poll, no channel occupancy — instead of
   // waiting out the full flush interval.
-  const sim::Duration next =
-      events_->empty() ? config_.event_flush_interval
-                       : std::min(config_.event_flush_interval, sim::kSecond);
-  kernel_.schedule(next, [this]() { event_tick(); });
+  return events_->empty()
+             ? config_.event_flush_interval
+             : std::min(config_.event_flush_interval, sim::kSecond);
 }
 
-void Magmad::checkpoint_tick() {
-  if (wedged_) {
-    kernel_.schedule(config_.checkpoint_interval,
-                     [this]() { checkpoint_tick(); });
-    return;
-  }
-  if (shed_telemetry()) {
-    kernel_.schedule(config_.checkpoint_interval,
-                     [this]() { checkpoint_tick(); });
-    return;
-  }
+sim::Duration Magmad::checkpoint_tick() {
+  if (shed_telemetry()) return config_.checkpoint_interval;
   rpc::Writer w;
   w.str(gateway_id_);
   w.bytes(checkpoint_source_());
@@ -468,8 +399,7 @@ void Magmad::checkpoint_tick() {
                    ++stats_.checkpoint_failures;
                  }
                });
-  kernel_.schedule(config_.checkpoint_interval,
-                   [this]() { checkpoint_tick(); });
+  return config_.checkpoint_interval;
 }
 
 }  // namespace magma::agw

@@ -8,7 +8,9 @@
 //                     full desired state (subscribers + policies) when it
 //                     changed. Retries with backoff survive backhaul loss.
 //   * check-in      — device heartbeat into the gateway inventory.
-//   * metrics       — best-effort telemetry shipping (no retries, §3.4).
+//   * metrics       — best-effort telemetry shipping (no retries, §3.4):
+//                     one report per tick carrying samples, histograms,
+//                     trace summaries and the subscriber sketch.
 //   * checkpoint    — serialize AGW runtime state and ship it to the
 //                     orchestrator as the warm-standby image (§3.3).
 //   * events        — drain the gateway's structured-event buffer (attach
@@ -37,7 +39,6 @@
 #include "agw/subscriberdb.h"
 #include "obs/events.h"
 #include "obs/status.h"
-#include "obs/tail_sampler.h"
 #include "orc8r/metricsd.h"
 #include "orc8r/streamer.h"
 #include "rpc/rpc.h"
@@ -85,12 +86,11 @@ struct MagmadStats {
   std::uint64_t tail_budget_updates = 0;
   std::uint64_t checkins_ok = 0;
   std::uint64_t checkin_failures = 0;
+  // Telemetry reports (one per metrics tick with anything to ship).
   std::uint64_t metric_reports_sent = 0;
   std::uint64_t metric_reports_lost = 0;
   std::uint64_t checkpoints_shipped = 0;
   std::uint64_t checkpoint_failures = 0;
-  std::uint64_t histogram_reports_sent = 0;
-  std::uint64_t histogram_reports_lost = 0;
   // Buckets actually put on the wire (full snapshots count every bucket,
   // deltas only the changed ones, unchanged histograms nothing) — the gauge
   // that proves delta shipping's reduction.
@@ -102,18 +102,9 @@ struct MagmadStats {
   std::uint64_t events_shipped = 0;
   std::uint64_t events_lost = 0;
   // Tail-sampled trace summaries (the "where does attach latency go"
-  // payload): reports put on the wire vs lost, and summaries carried.
-  // Best-effort like metrics — a lost report's summaries are gone; the
-  // sampler keeps producing fresh ones every window.
-  std::uint64_t trace_reports_sent = 0;
-  std::uint64_t trace_reports_lost = 0;
+  // payload) carried by delivered reports. A lost report's summaries are
+  // gone; the sampler keeps producing fresh ones every window.
   std::uint64_t trace_summaries_shipped = 0;
-  // Per-subscriber sketch reports (cumulative SpaceSaving + HLL snapshots,
-  // O(K + 2^p) on the wire however many subscribers the gateway serves).
-  // Best-effort like the rest: a lost report is superseded by the next
-  // tick's cumulative snapshot.
-  std::uint64_t sketch_reports_sent = 0;
-  std::uint64_t sketch_reports_lost = 0;
   // Best-effort ticks that skipped shipping because the control channel was
   // already backlogged (see MagmadConfig::telemetry_backpressure). Events
   // stay in their bounded buffer for the next tick; metrics/checkpoints are
@@ -126,39 +117,24 @@ class Magmad {
   // `orc8r` is the RPC client toward the orchestrator; may be null for a
   // fully standalone AGW (everything local keeps working — that is the
   // point). `checkpoint_source` returns the AGW's serialized runtime state;
-  // `metric_source` returns the current telemetry snapshot.
+  // `telemetry_source` returns this tick's telemetry: metric samples,
+  // cumulative latency histograms (magmad turns them into deltas), trace
+  // summaries closed since the last tick and the cumulative subscriber
+  // sketch. magmad fills in the report's gateway id.
   // `events` (optional) is the gateway's structured-event buffer, drained
-  // periodically toward eventd; `histogram_source` (optional) returns the
-  // gateway's latency-histogram snapshots, shipped with each metrics tick;
-  // `status_source` (optional) returns the gateway's Service303 registry
-  // snapshot, shipped inside each checkin (the health plane's payload).
+  // periodically toward eventd; `status_source` (optional) returns the
+  // gateway's Service303 registry snapshot, shipped inside each checkin
+  // (the health plane's payload).
   Magmad(sim::Kernel& kernel, std::string gateway_id, rpc::RpcNode* orc8r,
          SubscriberDb& subscribers, PolicyDb& policies,
          std::function<common::Bytes()> checkpoint_source,
-         std::function<std::vector<orc8r::MetricSample>()> metric_source,
+         std::function<orc8r::TelemetryReport()> telemetry_source,
          MagmadConfig config = {}, obs::EventBuffer* events = nullptr,
-         std::function<std::vector<orc8r::HistogramSnapshot>()>
-             histogram_source = {},
          std::function<std::vector<obs::ServiceStatus>()> status_source = {});
 
   // magmad's own Service303 handle (phase tracks orchestrator reachability;
   // requests/errors/deadlines count its southbound RPC outcomes).
   void set_status(obs::Service303* status);
-
-  // Tail-sampled trace summaries (optional): drained and shipped to
-  // metricsd on each metrics tick. The source hands over whatever windows
-  // have closed since the last tick (typically the gateway TailSampler's
-  // drain_ready()).
-  void set_trace_source(std::function<std::vector<obs::TraceSummary>()> src) {
-    trace_source_ = std::move(src);
-  }
-
-  // Per-subscriber sketches (optional): the source returns the gateway's
-  // cumulative SketchReport (typically SubscriberSketches::snapshot),
-  // shipped to metricsd on each metrics tick.
-  void set_sketch_source(std::function<obs::sketch::SketchReport()> src) {
-    sketch_source_ = std::move(src);
-  }
 
   // Fleet-wide tail-sampling budget: the checkin response carries the
   // keep-per-op K the orchestrator assigned this gateway (0: unmanaged).
@@ -188,11 +164,16 @@ class Magmad {
   const MagmadStats& stats() const { return stats_; }
 
  private:
-  void config_tick();
-  void checkin_tick();
-  void metrics_tick();
-  void checkpoint_tick();
-  void event_tick();
+  // One round of a periodic loop: runs `tick` unless wedged, then
+  // reschedules the loop after the delay `tick` returns (`interval` when
+  // wedged).
+  void run_loop(sim::Duration interval, sim::Duration (Magmad::*tick)());
+  // Loop bodies; each returns the delay to its next round.
+  sim::Duration config_tick();
+  sim::Duration checkin_tick();
+  sim::Duration metrics_tick();
+  sim::Duration checkpoint_tick();
+  sim::Duration event_tick();
   void handle_update(const orc8r::DesiredUpdate& update,
                      const std::function<void(bool)>& done);
   void apply(const orc8r::DesiredState& state);
@@ -217,13 +198,10 @@ class Magmad {
   SubscriberDb& subscribers_;
   PolicyDb& policies_;
   std::function<common::Bytes()> checkpoint_source_;
-  std::function<std::vector<orc8r::MetricSample>()> metric_source_;
+  std::function<orc8r::TelemetryReport()> telemetry_source_;
   MagmadConfig config_;
   obs::EventBuffer* events_;
-  std::function<std::vector<orc8r::HistogramSnapshot>()> histogram_source_;
   std::function<std::vector<obs::ServiceStatus>()> status_source_;
-  std::function<std::vector<obs::TraceSummary>()> trace_source_;
-  std::function<obs::sketch::SketchReport()> sketch_source_;
   std::function<void(std::size_t)> tail_budget_sink_;
   obs::Service303* status_ = nullptr;
 

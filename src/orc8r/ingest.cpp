@@ -12,12 +12,6 @@ const char* ingest_kind_name(IngestKind kind) {
       return "checkin";
     case IngestKind::kMetrics:
       return "metrics";
-    case IngestKind::kHistograms:
-      return "histograms";
-    case IngestKind::kTraceSummaries:
-      return "trace_summaries";
-    case IngestKind::kSketches:
-      return "sketches";
   }
   return "unknown";
 }

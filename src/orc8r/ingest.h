@@ -1,7 +1,7 @@
 // Sharded southbound ingest for the orchestrator.
 //
-// Every AGW in the fleet pushes checkins, metric reports, histogram
-// snapshots, and trace summaries at the orchestrator; applying each report
+// Every AGW in the fleet pushes checkins and telemetry reports (samples,
+// histograms, trace summaries, sketch) at the orchestrator; applying a report
 // inline in the RPC handler means one chatty or malfunctioning gateway can
 // monopolize the control plane, and ingest work grows unbounded with fleet
 // size. This generalizes the bounded-work-queue pattern accessd uses for
@@ -34,19 +34,16 @@ namespace magma::orc8r {
 
 enum class IngestKind : std::uint8_t {
   kCheckin = 0,
-  kMetrics = 1,
-  kHistograms = 2,
-  kTraceSummaries = 3,
-  kSketches = 4,
+  kMetrics = 1,  // one TelemetryReport
 };
-inline constexpr std::size_t kIngestKindCount = 5;
+inline constexpr std::size_t kIngestKindCount = 2;
 const char* ingest_kind_name(IngestKind kind);
 
 struct IngestConfig {
   std::size_t shards = 4;
-  // Pending applies per gateway before sheds start. One poll cycle's worth
-  // of reports is ~4 (checkin + metrics + histograms + traces); 64 absorbs
-  // a pump stall of over a dozen cycles before anything is lost.
+  // Pending applies per gateway before sheds start. One checkin interval
+  // (60 s) brings ~5 (a checkin plus four 15 s telemetry reports); 64
+  // absorbs a pump stall of over a dozen intervals before anything is lost.
   std::size_t gateway_queue_max = 64;
   std::size_t batch_per_pump = 16;  // applies per shard per pump tick
   sim::Duration pump_interval = 5 * sim::kMillisecond;

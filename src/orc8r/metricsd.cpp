@@ -149,6 +149,64 @@ common::Result<std::vector<HistogramSnapshot>> decode_histogram_report(
   return snapshots;
 }
 
+common::Bytes encode_telemetry_report(const TelemetryReport& report) {
+  rpc::Writer w;
+  w.str(report.gateway_id);
+  w.bytes(encode_metric_report(report.samples));
+  w.bytes(encode_histogram_report(report.histograms));
+  w.bytes(obs::encode_trace_summaries(report.summaries));
+  w.bytes(report.sketch.has_value()
+              ? obs::sketch::encode_sketch_report(*report.sketch)
+              : common::Bytes{});
+  return std::move(w).take();
+}
+
+common::Result<TelemetryReport> decode_telemetry_report(
+    common::BytesView data, std::optional<Metricsd::DropKind>* bad_section) {
+  rpc::Reader r(data);
+  TelemetryReport report;
+  report.gateway_id = r.str();
+  // Section lengths are wire data: Reader::bytes refuses a length past the
+  // end of the buffer before allocating anything.
+  const common::Bytes samples = r.bytes();
+  const common::Bytes histograms = r.bytes();
+  const common::Bytes summaries = r.bytes();
+  const common::Bytes sketch = r.bytes();
+  if (!r.ok() || !r.at_end()) {
+    return common::Error{common::ErrorCode::kInvalidArgument,
+                         "corrupt telemetry report"};
+  }
+  const auto reject = [bad_section](Metricsd::DropKind kind,
+                                    const common::Error& error) {
+    if (bad_section != nullptr) *bad_section = kind;
+    return error;
+  };
+  auto decoded_samples = decode_metric_report(samples);
+  if (!decoded_samples.ok()) {
+    return reject(Metricsd::DropKind::kMetric, decoded_samples.error());
+  }
+  report.samples = std::move(decoded_samples).take();
+  auto decoded_histograms = decode_histogram_report(histograms);
+  if (!decoded_histograms.ok()) {
+    return reject(Metricsd::DropKind::kHistogram, decoded_histograms.error());
+  }
+  report.histograms = std::move(decoded_histograms).take();
+  auto decoded_summaries = obs::decode_trace_summaries(summaries);
+  if (!decoded_summaries.ok()) {
+    return reject(Metricsd::DropKind::kTraceSummary,
+                  decoded_summaries.error());
+  }
+  report.summaries = std::move(decoded_summaries).take();
+  if (!sketch.empty()) {
+    auto decoded_sketch = obs::sketch::decode_sketch_report(sketch);
+    if (!decoded_sketch.ok()) {
+      return reject(Metricsd::DropKind::kSketch, decoded_sketch.error());
+    }
+    report.sketch = std::move(decoded_sketch).take();
+  }
+  return report;
+}
+
 void Metricsd::ingest_histogram(const HistogramSnapshot& snapshot) {
   if (snapshot.delta) {
     auto it = histograms_.find({snapshot.gateway_id, snapshot.name});

@@ -283,6 +283,33 @@ class Metricsd {
   std::uint64_t alerts_fired_ = 0;
 };
 
+// One magmad metrics tick's telemetry, shipped as a single best-effort
+// Report RPC. On the wire: the gateway id, then four length-prefixed
+// sections, each holding its own codec's bytes (encode_metric_report,
+// encode_histogram_report, obs::encode_trace_summaries,
+// obs::sketch::encode_sketch_report); a zero-length sketch section means no
+// sketch.
+struct TelemetryReport {
+  std::string gateway_id;
+  std::vector<MetricSample> samples;
+  std::vector<HistogramSnapshot> histograms;
+  std::vector<obs::TraceSummary> summaries;
+  std::optional<obs::sketch::SketchReport> sketch;
+
+  bool empty() const {
+    return samples.empty() && histograms.empty() && summaries.empty() &&
+           !sketch.has_value();
+  }
+};
+
+common::Bytes encode_telemetry_report(const TelemetryReport& report);
+// Rejects the whole report when the envelope or any section is corrupt.
+// When a section's own codec rejected it, `bad_section` (if given) receives
+// the drop kind of that section's data (kMetric for the samples).
+common::Result<TelemetryReport> decode_telemetry_report(
+    common::BytesView data,
+    std::optional<Metricsd::DropKind>* bad_section = nullptr);
+
 // Default alerting for the transport gauges: pages on connection-reset
 // growth, on SRTT sitting above 2× the engineered path baseline, and on
 // transport_rto_at_cap growth (a control channel stuck at max_rto backoff).

@@ -253,7 +253,6 @@ void Orchestrator::note_store_decode_error(const std::string& key,
 DesiredState Orchestrator::build_full_state() {
   DesiredState state;
   state.version = store_.version();
-  state.changed = true;
   for (const auto& [key, value] : store_.scan("sub/")) {
     auto sub = agw::SubscriberData::deserialize(value);
     if (sub.ok()) {
@@ -285,16 +284,6 @@ const common::Bytes& Orchestrator::full_state_blob() {
     ++stats_.full_cache_hits;
   }
   return cached_full_;
-}
-
-DesiredState Orchestrator::desired_state(std::uint64_t have_version) {
-  if (have_version == store_.version()) {
-    DesiredState state;
-    state.version = store_.version();
-    state.changed = false;
-    return state;
-  }
-  return build_full_state();
 }
 
 DesiredUpdate Orchestrator::desired_update(const GetUpdatesRequest& request) {
@@ -368,8 +357,7 @@ std::uint64_t Orchestrator::assigned_keep_per_op() const {
   return std::max<std::uint64_t>(1, fleet_trace_budget_ / fleet);
 }
 
-void Orchestrator::note_ingest_shed(IngestKind kind) {
-  (void)kind;  // per-kind breakdown lives in IngestShards' stats
+void Orchestrator::note_ingest_shed() {
   ++stats_.ingest_sheds;
   metricsd_.ingest(MetricSample{node_label_, "orc8r_ingest_shed",
                                 static_cast<double>(stats_.ingest_sheds),
@@ -629,7 +617,7 @@ void Orchestrator::bind(rpc::RpcNode& node) {
                  snapshot = std::move(services).take()]() mutable {
                   statusd_.record_checkin(gateway_id, std::move(snapshot));
                 })) {
-          note_ingest_shed(IngestKind::kCheckin);
+          note_ingest_shed();
         }
         rpc::Writer w;
         w.boolean(true);
@@ -661,92 +649,34 @@ void Orchestrator::bind(rpc::RpcNode& node) {
       kMetricsService, kReportMetrics,
       [this](const rpc::Bytes& request, rpc::Respond respond) {
         obs::svc_request(svc_metricsd_);
-        auto samples = decode_metric_report(request);
-        if (!samples.ok()) {
-          obs::svc_error(svc_metricsd_, samples.error().message);
-          respond(rpc::Error{samples.error()});
+        std::optional<Metricsd::DropKind> bad_section;
+        auto decoded = decode_telemetry_report(request, &bad_section);
+        if (!decoded.ok()) {
+          obs::svc_error(svc_metricsd_, decoded.error().message);
+          // kMetric counts retention trims only: undecodable samples were
+          // never a metricsd drop.
+          if (bad_section.has_value() &&
+              *bad_section != Metricsd::DropKind::kMetric) {
+            metricsd_.note_drop(*bad_section);
+          }
+          respond(rpc::Error{decoded.error()});
           return;
         }
         ++stats_.metric_reports;
-        std::vector<MetricSample> batch = std::move(samples).take();
-        const std::string gateway_id =
-            batch.empty() ? std::string{} : batch.front().gateway_id;
+        TelemetryReport report = std::move(decoded).take();
+        const std::string gateway_id = report.gateway_id;
         if (!ingest_.submit(gateway_id, IngestKind::kMetrics,
-                            [this, batch = std::move(batch)]() {
-                              metricsd_.ingest(batch);
+                            [this, report = std::move(report)]() mutable {
+                              metricsd_.ingest(report.samples);
+                              metricsd_.ingest_histograms(report.histograms);
+                              metricsd_.ingest_trace_summaries(
+                                  report.summaries);
+                              if (report.sketch.has_value()) {
+                                metricsd_.ingest_sketch_report(
+                                    std::move(*report.sketch));
+                              }
                             })) {
-          note_ingest_shed(IngestKind::kMetrics);
-        }
-        respond(rpc::Bytes{});
-      });
-
-  node.register_method(
-      kMetricsService, kReportHistograms,
-      [this](const rpc::Bytes& request, rpc::Respond respond) {
-        obs::svc_request(svc_metricsd_);
-        auto snapshots = decode_histogram_report(request);
-        if (!snapshots.ok()) {
-          obs::svc_error(svc_metricsd_, snapshots.error().message);
-          metricsd_.note_drop(Metricsd::DropKind::kHistogram);
-          respond(rpc::Error{snapshots.error()});
-          return;
-        }
-        ++stats_.histogram_reports;
-        std::vector<HistogramSnapshot> batch = std::move(snapshots).take();
-        const std::string gateway_id =
-            batch.empty() ? std::string{} : batch.front().gateway_id;
-        if (!ingest_.submit(gateway_id, IngestKind::kHistograms,
-                            [this, batch = std::move(batch)]() {
-                              metricsd_.ingest_histograms(batch);
-                            })) {
-          note_ingest_shed(IngestKind::kHistograms);
-        }
-        respond(rpc::Bytes{});
-      });
-
-  node.register_method(
-      kMetricsService, kReportTraceSummaries,
-      [this](const rpc::Bytes& request, rpc::Respond respond) {
-        obs::svc_request(svc_metricsd_);
-        auto summaries = obs::decode_trace_summaries(request);
-        if (!summaries.ok()) {
-          obs::svc_error(svc_metricsd_, summaries.error().message);
-          metricsd_.note_drop(Metricsd::DropKind::kTraceSummary);
-          respond(rpc::Error{summaries.error()});
-          return;
-        }
-        ++stats_.trace_summary_reports;
-        std::vector<obs::TraceSummary> batch = std::move(summaries).take();
-        const std::string gateway_id =
-            batch.empty() ? std::string{} : batch.front().gateway_id;
-        if (!ingest_.submit(gateway_id, IngestKind::kTraceSummaries,
-                            [this, batch = std::move(batch)]() {
-                              metricsd_.ingest_trace_summaries(batch);
-                            })) {
-          note_ingest_shed(IngestKind::kTraceSummaries);
-        }
-        respond(rpc::Bytes{});
-      });
-
-  node.register_method(
-      kMetricsService, kReportSketches,
-      [this](const rpc::Bytes& request, rpc::Respond respond) {
-        obs::svc_request(svc_metricsd_);
-        auto report = obs::sketch::decode_sketch_report(request);
-        if (!report.ok()) {
-          obs::svc_error(svc_metricsd_, report.error().message);
-          metricsd_.note_drop(Metricsd::DropKind::kSketch);
-          respond(rpc::Error{report.error()});
-          return;
-        }
-        ++stats_.sketch_reports;
-        obs::sketch::SketchReport batch = std::move(report).take();
-        const std::string gateway_id = batch.gateway_id;
-        if (!ingest_.submit(gateway_id, IngestKind::kSketches,
-                            [this, batch = std::move(batch)]() mutable {
-                              metricsd_.ingest_sketch_report(std::move(batch));
-                            })) {
-          note_ingest_shed(IngestKind::kSketches);
+          note_ingest_shed();
         }
         respond(rpc::Bytes{});
       });

@@ -56,10 +56,7 @@ struct OrchestratorStats {
   std::uint64_t noop_polls = 0;         // GetUpdates answered "current"
   std::uint64_t checkins = 0;
   std::uint64_t checkpoints_stored = 0;
-  std::uint64_t metric_reports = 0;
-  std::uint64_t histogram_reports = 0;
-  std::uint64_t trace_summary_reports = 0;
-  std::uint64_t sketch_reports = 0;
+  std::uint64_t metric_reports = 0;  // telemetry reports (TelemetryReport)
   std::uint64_t event_reports = 0;
   std::uint64_t events_ingested = 0;
   std::uint64_t events_dropped = 0;  // event store retention overflow
@@ -152,13 +149,10 @@ class Orchestrator {
   // new epoch discards its version and full-syncs).
   std::uint64_t epoch() const { return epoch_; }
 
-  // Desired state for a gateway at its reported version. Counts (and
-  // alerts on) store blobs that fail to deserialize instead of silently
-  // shrinking the config.
-  DesiredState desired_state(std::uint64_t have_version);
-
   // The streamer's answer for a poll: noop, a coalesced delta, or the
-  // cached full state (see streamer.h for when each is chosen).
+  // cached full state (see streamer.h for when each is chosen). A full
+  // build counts (and alerts on) store blobs that fail to deserialize
+  // instead of silently shrinking the config.
   DesiredUpdate desired_update(const GetUpdatesRequest& request);
 
   // Fleet-wide tail-sampling budget: on checkin each gateway is assigned
@@ -232,7 +226,7 @@ class Orchestrator {
   void record_delta(DeltaEntry entry);
   void note_store_decode_error(const std::string& key,
                                const std::string& what);
-  void note_ingest_shed(IngestKind kind);
+  void note_ingest_shed();
   void slo_tick(sim::Duration interval);
   // Downtime attribution join (statusd ledger hooks): snapshot the
   // fleet critical-path profile when an interval opens, gather counter

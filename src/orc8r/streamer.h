@@ -42,11 +42,9 @@ struct GetUpdatesRequest {
   static common::Result<GetUpdatesRequest> deserialize(common::BytesView d);
 };
 
-// Full desired-state payload (carried inside a kFull DesiredUpdate, and
-// still the unit the orchestrator's northbound desired_state() returns).
+// Full desired-state payload (carried inside a kFull DesiredUpdate).
 struct DesiredState {
   std::uint64_t version = 0;
-  bool changed = false;  // false: caller's version is current; blobs empty
   std::vector<agw::SubscriberData> subscribers;
   std::vector<core::Policy> policies;
 
@@ -93,10 +91,8 @@ inline constexpr const char* kStateService = "state";
 inline constexpr const char* kReportCheckpoint = "ReportCheckpoint";
 
 inline constexpr const char* kMetricsService = "metricsd";
+// Carries one TelemetryReport (metricsd.h) per magmad metrics tick.
 inline constexpr const char* kReportMetrics = "Report";
-inline constexpr const char* kReportHistograms = "ReportHistograms";
-inline constexpr const char* kReportTraceSummaries = "ReportTraceSummaries";
-inline constexpr const char* kReportSketches = "ReportSketches";
 
 inline constexpr const char* kEventService = "eventd";
 inline constexpr const char* kLogEvents = "LogEvents";

@@ -88,14 +88,14 @@ TEST(FleetIngest, FullGatewayQueueShedsWithKindBreakdown) {
                              [&applied]() { ++applied; }));
   EXPECT_FALSE(ingest.submit("gw0", orc8r::IngestKind::kMetrics,
                              [&applied]() { ++applied; }));
-  EXPECT_FALSE(ingest.submit("gw0", orc8r::IngestKind::kTraceSummaries,
+  EXPECT_FALSE(ingest.submit("gw0", orc8r::IngestKind::kCheckin,
                              [&applied]() { ++applied; }));
   EXPECT_EQ(ingest.stats().shed, 3u);
   EXPECT_EQ(ingest.stats().shed_by_kind[static_cast<std::size_t>(
                 orc8r::IngestKind::kMetrics)],
             2u);
   EXPECT_EQ(ingest.stats().shed_by_kind[static_cast<std::size_t>(
-                orc8r::IngestKind::kTraceSummaries)],
+                orc8r::IngestKind::kCheckin)],
             1u);
   // A different gateway still gets through.
   EXPECT_TRUE(ingest.submit("gw1", orc8r::IngestKind::kMetrics,
@@ -367,7 +367,7 @@ class FleetScaleRpcTest : public ::testing::Test {
         subscribers_([this]() { return rng_.next_u64(); }),
         magmad_(kernel_, "gw0", &client_node_, subscribers_, policies_,
                 []() { return common::Bytes{}; },
-                []() { return std::vector<orc8r::MetricSample>{}; }) {
+                []() { return orc8r::TelemetryReport{}; }) {
     orc8r_.bind(server_node_);
   }
 
@@ -442,9 +442,10 @@ TEST_F(FleetScaleRpcTest, SouthboundReportsFlowThroughIngestShards) {
       kernel_, "gw0", &client_node_, subscribers_, policies_,
       []() { return common::Bytes{}; },
       [this]() {
-        return std::vector<orc8r::MetricSample>{
-            orc8r::MetricSample{"gw0", "active_sessions", 1.0,
-                                kernel_.now()}};
+        orc8r::TelemetryReport report;
+        report.samples.push_back(orc8r::MetricSample{"gw0", "active_sessions",
+                                                     1.0, kernel_.now()});
+        return report;
       },
       config);
   magmad.start();

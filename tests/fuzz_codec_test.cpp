@@ -55,6 +55,7 @@ void decode_everything(common::BytesView data) {
   (void)orc8r::GetUpdatesRequest::deserialize(data);
   (void)orc8r::decode_metric_report(data);
   (void)orc8r::decode_histogram_report(data);
+  (void)orc8r::decode_telemetry_report(data);
   (void)obs::decode_event_report(data);
   (void)obs::decode_gateway_status(data);
   (void)obs::decode_trace_summaries(data);
@@ -476,6 +477,131 @@ TEST(FuzzSketchReport, HostileFieldsRejectedWithoutAllocating) {
   }
 }
 
+// The telemetry envelope carries every magmad metrics tick: the gateway id
+// plus four length-prefixed sections, each one of the codecs above. The
+// envelope must reject truncation, trailing bytes and section lengths past
+// the buffer on its own (no section is credited with the drop); a section
+// its own codec rejects fails the whole report and names that section.
+TEST(FuzzTelemetryReport, RoundTripTruncationAndHostileSections) {
+  orc8r::TelemetryReport report;
+  report.gateway_id = "gw-fuzz";
+  report.samples.push_back(
+      orc8r::MetricSample{"gw-fuzz", "active_sessions", 3.0, 10});
+  orc8r::HistogramSnapshot hist;
+  hist.gateway_id = "gw-fuzz";
+  hist.name = "attach_s";
+  hist.bounds = {0.1, 1.0};
+  hist.counts = {1, 2, 3};
+  hist.sum = 4.2;
+  hist.time = 10;
+  hist.exemplars = {{1, 0xabc}};
+  report.histograms.push_back(hist);
+  obs::TraceSummary summary;
+  summary.root_op = "attach";
+  summary.gateway_id = "gw-fuzz";
+  summary.trace_id = 7;
+  summary.duration = 5 * sim::kMillisecond;
+  report.summaries.push_back(summary);
+  obs::sketch::SubscriberSketches sketches;
+  sketches.record(obs::sketch::SubscriberMetric::kAttachFailures,
+                  "IMSI001010000000001", 3, 0xe1);
+  report.sketch = sketches.snapshot("gw-fuzz", 10);
+
+  const common::Bytes wire = orc8r::encode_telemetry_report(report);
+  auto decoded = orc8r::decode_telemetry_report(wire);
+  ASSERT_TRUE(decoded.ok());
+  const orc8r::TelemetryReport& got = decoded.value();
+  EXPECT_EQ(got.gateway_id, "gw-fuzz");
+  ASSERT_EQ(got.samples.size(), 1u);
+  EXPECT_EQ(got.samples[0].name, "active_sessions");
+  EXPECT_EQ(got.samples[0].value, 3.0);
+  ASSERT_EQ(got.histograms.size(), 1u);
+  EXPECT_EQ(got.histograms[0].bounds, hist.bounds);
+  EXPECT_EQ(got.histograms[0].counts, hist.counts);
+  EXPECT_EQ(got.histograms[0].exemplars, hist.exemplars);
+  ASSERT_EQ(got.summaries.size(), 1u);
+  EXPECT_EQ(got.summaries[0].trace_id, 7u);
+  EXPECT_EQ(got.summaries[0].duration, summary.duration);
+  ASSERT_TRUE(got.sketch.has_value());
+  EXPECT_EQ(got.sketch->gateway_id, "gw-fuzz");
+  const auto top = got.sketch
+                       ->topk[static_cast<std::size_t>(
+                           obs::sketch::SubscriberMetric::kAttachFailures)]
+                       .top();
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top[0].count, 3u);
+  // A zero-length sketch section is "no sketch", not an empty one.
+  orc8r::TelemetryReport no_sketch = report;
+  no_sketch.sketch.reset();
+  auto without = orc8r::decode_telemetry_report(
+      orc8r::encode_telemetry_report(no_sketch));
+  ASSERT_TRUE(without.ok());
+  EXPECT_FALSE(without.value().sketch.has_value());
+
+  // Every strict prefix cuts the envelope short; none may decode, and none
+  // is blamed on a section.
+  for (std::size_t keep = 0; keep < wire.size(); ++keep) {
+    std::optional<orc8r::Metricsd::DropKind> section;
+    EXPECT_FALSE(orc8r::decode_telemetry_report(
+                     common::BytesView(wire.data(), keep), &section)
+                     .ok())
+        << "prefix " << keep << " parsed as valid";
+    EXPECT_FALSE(section.has_value()) << "prefix " << keep;
+  }
+  // Trailing garbage after the last section: at_end() must catch it.
+  {
+    common::Bytes padded = wire;
+    padded.push_back(0x7e);
+    std::optional<orc8r::Metricsd::DropKind> section;
+    EXPECT_FALSE(orc8r::decode_telemetry_report(padded, &section).ok());
+    EXPECT_FALSE(section.has_value());
+  }
+  // A hostile section length (the samples section's u32 prefix, right
+  // after the gateway id) claims 4 GB: rejected without allocating it.
+  {
+    common::Bytes hostile = wire;
+    const std::size_t at = 4 + report.gateway_id.size();
+    for (std::size_t i = at; i < at + 4; ++i) hostile[i] = 0xff;
+    std::optional<orc8r::Metricsd::DropKind> section;
+    EXPECT_FALSE(orc8r::decode_telemetry_report(hostile, &section).ok());
+    EXPECT_FALSE(section.has_value());
+  }
+  // Each section in turn carries bytes its own codec rejects: the whole
+  // report fails and the section's drop kind comes back.
+  const common::Bytes sections[] = {
+      orc8r::encode_metric_report(report.samples),
+      orc8r::encode_histogram_report(report.histograms),
+      obs::encode_trace_summaries(report.summaries),
+      obs::sketch::encode_sketch_report(*report.sketch)};
+  const orc8r::Metricsd::DropKind kinds[] = {
+      orc8r::Metricsd::DropKind::kMetric,
+      orc8r::Metricsd::DropKind::kHistogram,
+      orc8r::Metricsd::DropKind::kTraceSummary,
+      orc8r::Metricsd::DropKind::kSketch};
+  for (std::size_t bad = 0; bad < 4; ++bad) {
+    rpc::Writer w;
+    w.str("gw-fuzz");
+    for (std::size_t i = 0; i < 4; ++i) {
+      w.bytes(i == bad ? common::Bytes{0xde, 0xad} : sections[i]);
+    }
+    std::optional<orc8r::Metricsd::DropKind> section;
+    EXPECT_FALSE(
+        orc8r::decode_telemetry_report(std::move(w).take(), &section).ok());
+    EXPECT_EQ(section, kinds[bad]) << "section " << bad;
+  }
+  // Bit flips: reject or decode, never crash.
+  sim::Rng rng(29);
+  for (int round = 0; round < 300; ++round) {
+    common::Bytes mutated = wire;
+    const int flips = 1 + static_cast<int>(rng.uniform_int(4));
+    for (int f = 0; f < flips; ++f) {
+      mutated[rng.uniform_int(mutated.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.uniform_int(8));
+    }
+    (void)orc8r::decode_telemetry_report(mutated);
+  }
+}
+
 // The delta-stream envelope is what every GetUpdates poll decodes on the
 // gateway side; it crosses the same trust boundary as the full-state codec.
 TEST(FuzzDeltaStream, UpdateRoundTripMutationAndTruncation) {
@@ -603,7 +729,6 @@ TEST(FuzzDeltaStream, HostileLengthsRejectedWithoutAllocating) {
 TEST(FuzzMutation, TruncatedDesiredStateAlwaysRejected) {
   orc8r::DesiredState state;
   state.version = 3;
-  state.changed = true;
   agw::SubscriberData sub;
   sub.imsi = common::Imsi::from_digits(1010000000001ULL);
   state.subscribers.push_back(sub);

@@ -6,6 +6,7 @@
 #include "core/network.h"
 #include "net/channel.h"
 #include "orc8r/orchestrator.h"
+#include "rpc/wire.h"
 
 namespace magma {
 namespace {
@@ -22,6 +23,17 @@ SubscriberData subscriber(std::uint64_t n, const std::string& policy) {
   sub.k[0] = static_cast<std::uint8_t>(n);
   sub.policy_name = policy;
   return sub;
+}
+
+orc8r::TelemetryReport telemetry(std::vector<orc8r::MetricSample> samples) {
+  orc8r::TelemetryReport report;
+  report.samples = std::move(samples);
+  return report;
+}
+
+// The state a first-contact poll (no epoch yet) receives in full.
+orc8r::DesiredUpdate first_contact(orc8r::Orchestrator& orc8r) {
+  return orc8r.desired_update(orc8r::GetUpdatesRequest{"gw0", 0, 0});
 }
 
 TEST(Orchestrator, NorthboundSubscriberCrud) {
@@ -51,14 +63,19 @@ TEST(Orchestrator, DesiredStateVersioned) {
   sim::Kernel kernel;
   orc8r::Orchestrator orc8r(kernel);
   orc8r.add_subscriber(subscriber(1, "p"));
-  const orc8r::DesiredState fresh = orc8r.desired_state(0);
-  EXPECT_TRUE(fresh.changed);
-  EXPECT_EQ(fresh.subscribers.size(), 1u);
+  const orc8r::DesiredUpdate fresh = first_contact(orc8r);
+  ASSERT_EQ(fresh.mode, orc8r::SyncMode::kFull);
+  auto state = orc8r::DesiredState::deserialize(fresh.full);
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(state.value().version, fresh.version);
+  EXPECT_EQ(state.value().subscribers.size(), 1u);
 
   // A caller that already has the current version gets a cheap no-op.
-  const orc8r::DesiredState current = orc8r.desired_state(fresh.version);
-  EXPECT_FALSE(current.changed);
-  EXPECT_TRUE(current.subscribers.empty());
+  const orc8r::DesiredUpdate current = orc8r.desired_update(
+      orc8r::GetUpdatesRequest{"gw0", fresh.version, fresh.epoch});
+  EXPECT_EQ(current.mode, orc8r::SyncMode::kNoop);
+  EXPECT_TRUE(current.full.empty());
+  EXPECT_TRUE(current.entries.empty());
 }
 
 TEST(Orchestrator, ConfigSurvivesCrash) {
@@ -80,9 +97,12 @@ TEST(Orchestrator, CorruptStoreBlobIsCountedWarnedAndAlerted) {
   orc8r.add_subscriber(subscriber(1, "p"));
   orc8r.store().put("sub/corrupt", common::to_bytes("garbage"));
 
-  const orc8r::DesiredState state = orc8r.desired_state(0);
+  const orc8r::DesiredUpdate update = first_contact(orc8r);
+  ASSERT_EQ(update.mode, orc8r::SyncMode::kFull);
+  auto state = orc8r::DesiredState::deserialize(update.full);
+  ASSERT_TRUE(state.ok());
   // The good subscriber survives; the corrupt one is counted, not silent.
-  EXPECT_EQ(state.subscribers.size(), 1u);
+  EXPECT_EQ(state.value().subscribers.size(), 1u);
   EXPECT_EQ(orc8r.stats().store_decode_errors, 1u);
   EXPECT_EQ(
       orc8r.metrics().latest("orc8r", "orchestrator_store_decode_errors"),
@@ -95,7 +115,7 @@ TEST(Orchestrator, CorruptStoreBlobIsCountedWarnedAndAlerted) {
   // The default growth alert fires once the gauge rises past its baseline
   // (the corrupt blob is recounted on the next full-state rebuild).
   orc8r.add_subscriber(subscriber(2, "p"));
-  (void)orc8r.desired_state(0);
+  (void)first_contact(orc8r);
   EXPECT_EQ(orc8r.stats().store_decode_errors, 2u);
   bool firing = false;
   for (const orc8r::ActiveAlert& a : orc8r.metrics().active_alerts()) {
@@ -107,7 +127,6 @@ TEST(Orchestrator, CorruptStoreBlobIsCountedWarnedAndAlerted) {
 TEST(DesiredState, SerializeRoundTrip) {
   orc8r::DesiredState state;
   state.version = 42;
-  state.changed = true;
   state.subscribers.push_back(subscriber(1, "gold"));
   state.policies.push_back(core::tiered_policy(1e7, 1 << 30, 1e6));
   auto round = orc8r::DesiredState::deserialize(state.serialize());
@@ -131,7 +150,7 @@ class MagmadTest : public ::testing::Test {
         subscribers_([this]() { return rng_.next_u64(); }),
         magmad_(kernel_, "gw0", &client_node_, subscribers_, policies_,
                 [this]() { return checkpoint_payload_; },
-                [this]() { return metrics_payload_; }) {
+                [this]() { return telemetry(metrics_payload_); }) {
     orc8r_.bind(server_node_);
   }
 
@@ -281,8 +300,6 @@ class MagmadShippingTest : public ::testing::Test {
         registry_(kernel_),
         magmad_(kernel_, "gw0", &client_node_, subscribers_, policies_,
                 []() { return common::Bytes{}; },
-                []() { return std::vector<orc8r::MetricSample>{}; },
-                fast_metrics(), nullptr,
                 [this]() {
                   orc8r::HistogramSnapshot snap;
                   snap.gateway_id = "gw0";
@@ -291,9 +308,11 @@ class MagmadShippingTest : public ::testing::Test {
                   snap.counts = hist_.counts();
                   snap.sum = hist_.sum();
                   snap.time = kernel_.now();
-                  return std::vector<orc8r::HistogramSnapshot>{
-                      std::move(snap)};
+                  orc8r::TelemetryReport report;
+                  report.histograms.push_back(std::move(snap));
+                  return report;
                 },
+                fast_metrics(), nullptr,
                 [this]() { return registry_.snapshot(); }) {
     orc8r_.bind(server_node_);
   }
@@ -373,7 +392,7 @@ TEST_F(MagmadShippingTest, LostReportForcesFullReship) {
   link_.reverse.set_up(false);
   hist_.observe(2.0);
   kernel_.run_until(31 * sim::kSecond);
-  ASSERT_GE(magmad_.stats().histogram_reports_lost, 1u);
+  ASSERT_GE(magmad_.stats().metric_reports_lost, 1u);
 
   link_.forward.set_up(true);
   link_.reverse.set_up(true);
@@ -453,7 +472,8 @@ TEST_F(MagmadTest, BackpressureShedsTelemetryButNeverTheSync) {
   config.telemetry_backpressure = 0;
   agw::Magmad magmad(kernel_, "gw0", &client_node_, subscribers_, policies_,
                      [this]() { return checkpoint_payload_; },
-                     [this]() { return metrics_payload_; }, config);
+                     [this]() { return telemetry(metrics_payload_); },
+                     config);
   orc8r_.add_subscriber(subscriber(1, "p"));
   metrics_payload_ = {
       orc8r::MetricSample{"gw0", "active_sessions", 1.0, kernel_.now()}};
@@ -465,6 +485,82 @@ TEST_F(MagmadTest, BackpressureShedsTelemetryButNeverTheSync) {
   EXPECT_GT(magmad.stats().telemetry_sheds, 0u);
   EXPECT_EQ(magmad.stats().metric_reports_sent, 0u);
   EXPECT_EQ(magmad.stats().checkpoints_shipped, 0u);
+}
+
+// --- One telemetry report per metrics tick -----------------------------------
+
+TEST(TelemetryReport, OneRpcPerMetricsTickCarriesEveryKind) {
+  // Everything magmad does besides the metrics loop is slowed to hourly, so
+  // the measured window holds nothing but metrics ticks.
+  core::NetworkConfig config;
+  config.magmad.config_poll_interval = sim::kHour;
+  config.magmad.checkin_interval = sim::kHour;
+  config.magmad.checkpoint_interval = sim::kHour;
+  config.magmad.event_flush_interval = sim::kHour;
+  core::Network net(config);
+  agw::AccessGateway& agw = net.add_agw(agw::bare_metal_j3160());
+  ran::EnodeB& enb = net.add_enodeb(agw);
+  net.run_for(2 * sim::kSecond);
+  const agw::SubscriberData sub = net.provision_subscriber();
+  net.sync_all_config();
+  bool attached = false;
+  net.add_ue_lte(sub).attach(enb, [&](const ran::AttachOutcome& outcome) {
+    attached = outcome.success;
+  });
+  net.run_for(20 * sim::kSecond);
+  ASSERT_TRUE(attached);
+
+  // Start mid-interval so the window spans exactly four metrics ticks.
+  const sim::Duration interval = config.magmad.metrics_interval;
+  net.run_for(interval - net.kernel().now() % interval + interval / 2);
+  const rpc::RpcStats& served = net.orc8r_node_for(agw).stats();
+  const std::uint64_t calls_before = served.calls_served;
+  const std::uint64_t reports_before = agw.magmad().stats().metric_reports_sent;
+  net.run_for(4 * interval);
+  EXPECT_EQ(served.calls_served - calls_before, 4u);
+  EXPECT_EQ(agw.magmad().stats().metric_reports_sent - reports_before, 4u);
+
+  // The single report still delivers samples, histograms, trace summaries
+  // and the subscriber sketch.
+  const orc8r::Metricsd& metrics = net.orchestrator().metrics();
+  EXPECT_TRUE(metrics.latest("gw0", "active_sessions").has_value());
+  EXPECT_GE(metrics.histogram_count("span_lte_frontend_attach_s"), 1u);
+  EXPECT_GE(metrics.trace_summaries_ingested(), 1u);
+  EXPECT_GT(agw.magmad().stats().trace_summaries_shipped, 0u);
+  EXPECT_EQ(metrics.sketch_gateways(), 1u);
+}
+
+using TelemetryReportTest = MagmadTest;
+
+TEST_F(TelemetryReportTest, CorruptHistogramSectionAppliesNothing) {
+  // Good samples beside a histogram section its codec rejects: the whole
+  // report is refused, nothing reaches metricsd, and the loss is counted
+  // once under the histogram drop kind.
+  rpc::Writer w;
+  w.str("gw0");
+  w.bytes(orc8r::encode_metric_report(
+      {orc8r::MetricSample{"gw0", "active_sessions", 3.0, 0}}));
+  w.bytes(common::to_bytes("not a histogram report"));
+  w.bytes(obs::encode_trace_summaries({}));
+  w.bytes(common::Bytes{});
+  const orc8r::Metricsd& metrics = orc8r_.metrics();
+  const std::size_t samples_before = metrics.total_samples();
+  bool rejected = false;
+  client_node_.call(orc8r::kMetricsService, orc8r::kReportMetrics,
+                    std::move(w).take(), 5 * sim::kSecond,
+                    [&](rpc::Result<rpc::Bytes> result) {
+                      rejected = !result.ok();
+                    });
+  kernel_.run_until(5 * sim::kSecond);
+
+  EXPECT_TRUE(rejected);
+  EXPECT_EQ(metrics.samples_dropped(orc8r::Metricsd::DropKind::kHistogram),
+            1u);
+  EXPECT_EQ(metrics.samples_dropped(), 1u);
+  EXPECT_EQ(orc8r_.stats().metric_reports, 0u);
+  EXPECT_EQ(orc8r_.ingest().stats().submitted, 0u);
+  EXPECT_EQ(metrics.total_samples(), samples_before);
+  EXPECT_FALSE(metrics.latest("gw0", "active_sessions").has_value());
 }
 
 }  // namespace

@@ -175,7 +175,8 @@ TEST_F(TracingTest, StageLatencyHistogramsReachMetricsd) {
   EXPECT_GT(attach_p50, 0.1);
   EXPECT_LT(metrics.histogram_quantile("span_mobilityd_allocate_ip_s", 0.5),
             attach_p50);
-  EXPECT_GT(agw_->magmad().stats().histogram_reports_sent, 0u);
+  EXPECT_GT(agw_->magmad().stats().metric_reports_sent, 0u);
+  EXPECT_GT(agw_->magmad().stats().histogram_full_snapshots, 0u);
 }
 
 TEST_F(TracingTest, AttachAndWarnEventsReachOrchestrator) {
