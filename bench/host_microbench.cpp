@@ -12,7 +12,7 @@
 //                                the HostProfiler's (magmad, apply_delta)
 //                                label — the tentpole instrument in action)
 //   6. checkin_drain           — a 1000-gateway checkin wave through the
-//                                sharded ingest
+//                                orchestrator's ingest queue
 //
 // `--quick` shrinks iteration counts for the ctest smoke target; the JSON
 // schema (key set) is identical in both modes, and the binary re-parses its

@@ -121,7 +121,7 @@ void AccessGateway::set_tracer(obs::Tracer* tracer) {
   if (ocs_node_ != nullptr) ocs_node_->set_tracer(tracer_, id_.value);
   if (tracer_ == nullptr) return;
   tail_sampler_ =
-      std::make_unique<obs::TailSampler>(kernel_, *tracer_, tail_config_);
+      std::make_unique<obs::TailSampler>(kernel_, *tracer_);
   tail_sampler_->set_node_filter(id_.value);
   // Aggregate every finished stage span of this gateway into a latency
   // histogram; magmad ships the buckets with each metrics tick.
@@ -173,13 +173,6 @@ void AccessGateway::connect_orchestrator(net::Channel& channel,
         return report;
       },
       magmad_config, &events_, [this]() { return status_.snapshot(); });
-  // Fleet tail budget: checkin responses can reassign the sampler's
-  // keep-per-op K. Remember it in tail_config_ too, so a sampler rebuilt by
-  // a later set_tracer() keeps the assigned budget.
-  magmad_->set_tail_budget_sink([this](std::size_t keep) {
-    tail_config_.keep_per_op = keep;
-    if (tail_sampler_ != nullptr) tail_sampler_->set_keep_per_op(keep);
-  });
   magmad_->set_status(svc_magmad_);
 }
 

@@ -208,18 +208,6 @@ sim::Duration Magmad::checkin_tick() {
                  if (result.ok()) {
                    ++stats_.checkins_ok;
                    set_reachable(true);
-                   // The ack carries the fleet tail-sampling budget: this
-                   // gateway's assigned keep-per-op K (0: unmanaged).
-                   rpc::Reader r(result.value());
-                   (void)r.boolean();
-                   const std::uint64_t keep = r.u64();
-                   if (r.ok() && keep != 0 && keep != assigned_tail_keep_) {
-                     assigned_tail_keep_ = keep;
-                     ++stats_.tail_budget_updates;
-                     if (tail_budget_sink_) {
-                       tail_budget_sink_(static_cast<std::size_t>(keep));
-                     }
-                   }
                  } else {
                    ++stats_.checkin_failures;
                    if (result.error().code ==

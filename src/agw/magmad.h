@@ -82,8 +82,6 @@ struct MagmadStats {
   std::uint64_t sync_regressions = 0;
   // Orchestrator epoch changes observed (each forces a full resync).
   std::uint64_t epoch_resyncs = 0;
-  // Fleet tail-budget assignments applied from checkin responses.
-  std::uint64_t tail_budget_updates = 0;
   std::uint64_t checkins_ok = 0;
   std::uint64_t checkin_failures = 0;
   // Telemetry reports (one per metrics tick with anything to ship).
@@ -135,15 +133,6 @@ class Magmad {
   // magmad's own Service303 handle (phase tracks orchestrator reachability;
   // requests/errors/deadlines count its southbound RPC outcomes).
   void set_status(obs::Service303* status);
-
-  // Fleet-wide tail-sampling budget: the checkin response carries the
-  // keep-per-op K the orchestrator assigned this gateway (0: unmanaged).
-  // The sink is invoked whenever the assignment changes (typically wired to
-  // TailSampler::set_keep_per_op).
-  void set_tail_budget_sink(std::function<void(std::size_t)> sink) {
-    tail_budget_sink_ = std::move(sink);
-  }
-  std::uint64_t assigned_tail_keep() const { return assigned_tail_keep_; }
 
   // Begin the periodic loops (idempotent).
   void start();
@@ -202,7 +191,6 @@ class Magmad {
   MagmadConfig config_;
   obs::EventBuffer* events_;
   std::function<std::vector<obs::ServiceStatus>()> status_source_;
-  std::function<void(std::size_t)> tail_budget_sink_;
   obs::Service303* status_ = nullptr;
 
   // Delta shipping: counts as of the last report put on the wire, per
@@ -219,7 +207,6 @@ class Magmad {
   bool reachable_ = false;
   std::uint64_t synced_version_ = 0;
   std::uint64_t synced_epoch_ = 0;  // 0: never synced
-  std::uint64_t assigned_tail_keep_ = 0;
   MagmadStats stats_;
 };
 

@@ -74,24 +74,6 @@ TailSampler::~TailSampler() {
   }
 }
 
-void TailSampler::set_keep_per_op(std::size_t k) {
-  k = std::max<std::size_t>(1, k);
-  if (k == config_.keep_per_op) return;
-  config_.keep_per_op = k;
-  // Shrinking: give back the over-budget pins now, fastest first — the
-  // slowest keeps are the ones this sampler exists to retain.
-  for (auto& [op, keeps] : kept_) {
-    while (keeps.size() > k) {
-      auto fastest = std::min_element(
-          keeps.begin(), keeps.end(),
-          [](const Kept& a, const Kept& b) { return a.duration < b.duration; });
-      tracer_.unpin(fastest->trace_id);
-      keeps.erase(fastest);
-      ++stats_.budget_trims;
-    }
-  }
-}
-
 std::size_t TailSampler::held() const {
   std::size_t n = 0;
   for (const auto& [op, keeps] : kept_) n += keeps.size();

@@ -65,7 +65,6 @@ struct TailSamplerStats {
   std::uint64_t skipped_op_cap = 0;
   std::uint64_t windows_closed = 0;
   std::uint64_t ready_dropped = 0;  // summaries lost to the ready cap
-  std::uint64_t budget_trims = 0;   // keeps dropped by a shrinking budget
 };
 
 class TailSampler {
@@ -79,14 +78,6 @@ class TailSampler {
   // Only sample root spans emitted by this node (a gateway samples its own
   // traces, not its neighbors' on the shared tracer). Empty: sample all.
   void set_node_filter(std::string node) { node_filter_ = std::move(node); }
-
-  // Fleet-wide keep budget: the orchestrator assigns each gateway a
-  // keep-per-op K on checkin (budget / fleet size), so total trace ingest
-  // stays bounded as the fleet grows. Shrinking K trims the current
-  // window's fastest keeps immediately (unpinned, counted in budget_trims);
-  // growing K takes effect as new roots finish. Clamped to >= 1.
-  void set_keep_per_op(std::size_t k);
-  std::size_t keep_per_op() const { return config_.keep_per_op; }
 
   // Summaries of all closed windows, destructively. Closes the current
   // window first if its time has fully passed (so an idle gateway still
@@ -112,7 +103,7 @@ class TailSampler {
 
   sim::Kernel& kernel_;
   Tracer& tracer_;
-  TailSamplerConfig config_;
+  const TailSamplerConfig config_;
   std::string node_filter_;
   std::int64_t window_index_ = -1;  // -1: nothing sampled yet
   std::map<std::string, std::vector<Kept>> kept_;  // root op -> top-K

@@ -6,89 +6,44 @@
 
 namespace magma::orc8r {
 
-const char* ingest_kind_name(IngestKind kind) {
-  switch (kind) {
-    case IngestKind::kCheckin:
-      return "checkin";
-    case IngestKind::kMetrics:
-      return "metrics";
-  }
-  return "unknown";
-}
-
-IngestShards::IngestShards(sim::Kernel& kernel, IngestConfig config)
-    : kernel_(kernel), config_(config) {
-  config_.shards = std::max<std::size_t>(1, config_.shards);
-  config_.batch_per_pump = std::max<std::size_t>(1, config_.batch_per_pump);
-  shards_.resize(config_.shards);
-}
-
-std::size_t IngestShards::shard_of(const std::string& gateway_id,
-                                   std::size_t shards) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  for (const char c : gateway_id) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return shards == 0 ? 0 : static_cast<std::size_t>(h % shards);
-}
-
-bool IngestShards::submit(const std::string& gateway_id, IngestKind kind,
-                          std::function<void()> apply) {
+bool IngestQueue::submit(const std::string& gateway_id,
+                         std::function<void()> apply) {
   ++stats_.submitted;
-  const std::size_t index = shard_of(gateway_id, shards_.size());
-  Shard& shard = shards_[index];
-  std::deque<Item>& queue = shard.queues[gateway_id];
-  if (queue.size() >= config_.gateway_queue_max) {
+  std::size_t& gateway_pending = gateway_pending_[gateway_id];
+  if (gateway_pending >= kGatewayQueueMax) {
     ++stats_.shed;
-    ++stats_.shed_by_kind[static_cast<std::size_t>(kind)];
-    if (queue.empty()) shard.queues.erase(gateway_id);
     return false;
   }
-  queue.push_back(Item{kind, std::move(apply)});
-  ++shard.pending;
+  ++gateway_pending;
+  queue_.push_back(Item{gateway_id, std::move(apply)});
   stats_.max_gateway_queue =
-      std::max<std::uint64_t>(stats_.max_gateway_queue, queue.size());
-  stats_.max_pending = std::max<std::uint64_t>(stats_.max_pending, pending());
-  if (!shard.pump_scheduled) {
-    shard.pump_scheduled = true;
-    kernel_.schedule(config_.pump_interval, [this, index]() { pump(index); });
+      std::max<std::uint64_t>(stats_.max_gateway_queue, gateway_pending);
+  stats_.max_pending =
+      std::max<std::uint64_t>(stats_.max_pending, queue_.size());
+  if (!pump_scheduled_) {
+    pump_scheduled_ = true;
+    kernel_.schedule(kPumpInterval, [this]() { pump(); });
   }
   return true;
 }
 
-std::size_t IngestShards::pending() const {
-  std::size_t n = 0;
-  for (const Shard& shard : shards_) n += shard.pending;
-  return n;
-}
-
-void IngestShards::pump(std::size_t index) {
+void IngestQueue::pump() {
   // The pump is the orchestrator's southbound drain loop: at fleet scale it
   // runs every 5 ms of sim time, so its host cost scales with checkin rate.
   MAGMA_HOST_SCOPE("ingest", "pump");
-  Shard& shard = shards_[index];
-  std::size_t done = 0;
-  // Round-robin across gateways, one apply per gateway per pass, resuming
-  // after the last gateway served — a deep single-gateway backlog drains at
-  // the same per-pump rate as everyone else's fresh reports.
-  while (done < config_.batch_per_pump && !shard.queues.empty()) {
-    auto it = shard.queues.upper_bound(shard.resume_after);
-    if (it == shard.queues.end()) it = shard.queues.begin();
-    Item item = std::move(it->second.front());
-    it->second.pop_front();
-    --shard.pending;
-    shard.resume_after = it->first;
-    if (it->second.empty()) shard.queues.erase(it);
+  for (std::size_t done = 0; done < kBatchPerPump && !queue_.empty();
+       ++done) {
+    Item item = std::move(queue_.front());
+    queue_.pop_front();
+    auto it = gateway_pending_.find(item.gateway_id);
+    if (--it->second == 0) gateway_pending_.erase(it);
     item.apply();
-    ++done;
     ++stats_.processed;
   }
-  if (done > 0) ++stats_.batches;
-  if (!shard.queues.empty()) {
-    kernel_.schedule(config_.pump_interval, [this, index]() { pump(index); });
+  if (!queue_.empty()) {
+    kernel_.schedule(kPumpInterval, [this]() { pump(); });
   } else {
-    shard.pump_scheduled = false;
+    pump_scheduled_ = false;
   }
 }
 

@@ -1,101 +1,77 @@
-// Sharded southbound ingest for the orchestrator.
+// Southbound ingest queue for the orchestrator.
 //
 // Every AGW in the fleet pushes checkins and telemetry reports (samples,
 // histograms, trace summaries, sketch) at the orchestrator; applying a report
-// inline in the RPC handler means one chatty or malfunctioning gateway can
-// monopolize the control plane, and ingest work grows unbounded with fleet
-// size. This generalizes the bounded-work-queue pattern accessd uses for
-// attach processing: reports are decoded (and answered) inline, but the
-// *apply* — the statusd/metricsd mutation — is enqueued on a per-gateway
-// bounded FIFO inside one of a fixed number of shards. Each shard drains a
-// batch per pump tick, round-robin across its gateways, so no single
-// gateway can starve its shard-mates. A full per-gateway queue sheds the
-// report (counted, never queued) — the same loss-tolerant posture as the
-// metrics path itself (§3.4): a shed report's data is simply absent, and
-// the next report self-corrects.
+// inline in the RPC handler means a burst of reports lands on the control
+// plane all at once. This generalizes the bounded-work-queue pattern accessd
+// uses for attach processing: reports are decoded (and answered) inline, but
+// the *apply* — the statusd/metricsd mutation — is enqueued on one FIFO and
+// drained a bounded batch per pump tick. Each gateway may hold at most
+// kGatewayQueueMax pending applies; a report from a gateway at its cap is
+// shed (counted, never queued) — the same loss-tolerant posture as the
+// metrics path itself (§3.4): a shed report's data is simply absent, and the
+// next report self-corrects. Other gateways' reports still queue.
 //
-// Determinism: gateways hash to shards with FNV-1a (stable across runs and
-// platforms, unlike std::hash), queues live in std::map (iteration in key
-// order), and pumps are ordinary kernel events — the same fleet replays the
-// same ingest order every run.
+// Determinism: one FIFO and pumps that are ordinary kernel events — the same
+// fleet replays the same ingest order every run.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <string>
-#include <vector>
+#include <unordered_map>
 
 #include "sim/kernel.h"
 #include "sim/time.h"
 
 namespace magma::orc8r {
 
-enum class IngestKind : std::uint8_t {
-  kCheckin = 0,
-  kMetrics = 1,  // one TelemetryReport
-};
-inline constexpr std::size_t kIngestKindCount = 2;
-const char* ingest_kind_name(IngestKind kind);
-
-struct IngestConfig {
-  std::size_t shards = 4;
-  // Pending applies per gateway before sheds start. One checkin interval
-  // (60 s) brings ~5 (a checkin plus four 15 s telemetry reports); 64
-  // absorbs a pump stall of over a dozen intervals before anything is lost.
-  std::size_t gateway_queue_max = 64;
-  std::size_t batch_per_pump = 16;  // applies per shard per pump tick
-  sim::Duration pump_interval = 5 * sim::kMillisecond;
-};
-
 struct IngestStats {
   std::uint64_t submitted = 0;
   std::uint64_t processed = 0;
-  std::uint64_t shed = 0;  // rejected at a full per-gateway queue
-  std::uint64_t shed_by_kind[kIngestKindCount] = {};
-  std::uint64_t batches = 0;  // pump ticks that applied at least one item
-  // High-water marks: deepest single gateway queue and deepest total
-  // backlog ever seen (the gauges that size the bounds).
+  std::uint64_t shed = 0;  // rejected at a full per-gateway cap
+  // High-water marks: most applies pending for a single gateway and deepest
+  // total backlog ever seen (the gauges that size the bounds).
   std::uint64_t max_gateway_queue = 0;
   std::uint64_t max_pending = 0;
 };
 
-class IngestShards {
+class IngestQueue {
  public:
-  explicit IngestShards(sim::Kernel& kernel, IngestConfig config = {});
+  // Pending applies per gateway before sheds start. One checkin interval
+  // (60 s) brings ~5 (a checkin plus four 15 s telemetry reports); 64
+  // absorbs a pump stall of over a dozen intervals before anything is lost.
+  static constexpr std::size_t kGatewayQueueMax = 64;
+  static constexpr std::size_t kBatchPerPump = 64;  // applies per pump tick
+  static constexpr sim::Duration kPumpInterval = 5 * sim::kMillisecond;
 
-  // Enqueue `apply` on the gateway's FIFO. False: the queue is full and the
-  // report was shed (caller should count it and answer the gateway anyway —
-  // southbound reports are best-effort, a retry would just re-shed).
-  bool submit(const std::string& gateway_id, IngestKind kind,
-              std::function<void()> apply);
+  explicit IngestQueue(sim::Kernel& kernel) : kernel_(kernel) {}
+  IngestQueue(const IngestQueue&) = delete;  // pumps capture `this`
+  IngestQueue& operator=(const IngestQueue&) = delete;
 
-  std::size_t pending() const;
+  // Enqueue `apply` behind everything already queued. False: the gateway
+  // already has kGatewayQueueMax applies pending and the report was shed
+  // (caller should count it and answer the gateway anyway — southbound
+  // reports are best-effort, a retry would just re-shed).
+  bool submit(const std::string& gateway_id, std::function<void()> apply);
+
+  std::size_t pending() const { return queue_.size(); }
   const IngestStats& stats() const { return stats_; }
-  const IngestConfig& config() const { return config_; }
-
-  // Stable gateway -> shard assignment (FNV-1a, not std::hash).
-  static std::size_t shard_of(const std::string& gateway_id,
-                              std::size_t shards);
 
  private:
   struct Item {
-    IngestKind kind;
+    std::string gateway_id;
     std::function<void()> apply;
   };
-  struct Shard {
-    std::map<std::string, std::deque<Item>> queues;  // per-gateway FIFO
-    std::string resume_after;  // round-robin cursor (last gateway served)
-    bool pump_scheduled = false;
-    std::size_t pending = 0;
-  };
 
-  void pump(std::size_t index);
+  void pump();
 
   sim::Kernel& kernel_;
-  IngestConfig config_;
-  std::vector<Shard> shards_;
+  std::deque<Item> queue_;
+  // Pending applies per gateway (entries erased at zero).
+  std::unordered_map<std::string, std::size_t> gateway_pending_;
+  bool pump_scheduled_ = false;
   IngestStats stats_;
 };
 

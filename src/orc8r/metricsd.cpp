@@ -181,26 +181,48 @@ common::Result<TelemetryReport> decode_telemetry_report(
     if (bad_section != nullptr) *bad_section = kind;
     return error;
   };
+  // Metricsd stores every item under its own gateway id while ingest routes
+  // and sheds on the envelope's: an item naming another gateway would let
+  // one gateway overwrite another's series, histograms or sketch.
+  const auto foreign = [&report](const auto& items) {
+    return std::any_of(items.begin(), items.end(), [&report](const auto& i) {
+      return i.gateway_id != report.gateway_id;
+    });
+  };
+  const common::Error foreign_item{common::ErrorCode::kInvalidArgument,
+                                   "telemetry item from another gateway"};
   auto decoded_samples = decode_metric_report(samples);
   if (!decoded_samples.ok()) {
     return reject(Metricsd::DropKind::kMetric, decoded_samples.error());
   }
   report.samples = std::move(decoded_samples).take();
+  if (foreign(report.samples)) {
+    return reject(Metricsd::DropKind::kMetric, foreign_item);
+  }
   auto decoded_histograms = decode_histogram_report(histograms);
   if (!decoded_histograms.ok()) {
     return reject(Metricsd::DropKind::kHistogram, decoded_histograms.error());
   }
   report.histograms = std::move(decoded_histograms).take();
+  if (foreign(report.histograms)) {
+    return reject(Metricsd::DropKind::kHistogram, foreign_item);
+  }
   auto decoded_summaries = obs::decode_trace_summaries(summaries);
   if (!decoded_summaries.ok()) {
     return reject(Metricsd::DropKind::kTraceSummary,
                   decoded_summaries.error());
   }
   report.summaries = std::move(decoded_summaries).take();
+  if (foreign(report.summaries)) {
+    return reject(Metricsd::DropKind::kTraceSummary, foreign_item);
+  }
   if (!sketch.empty()) {
     auto decoded_sketch = obs::sketch::decode_sketch_report(sketch);
     if (!decoded_sketch.ok()) {
       return reject(Metricsd::DropKind::kSketch, decoded_sketch.error());
+    }
+    if (decoded_sketch.value().gateway_id != report.gateway_id) {
+      return reject(Metricsd::DropKind::kSketch, foreign_item);
     }
     report.sketch = std::move(decoded_sketch).take();
   }

@@ -303,9 +303,10 @@ struct TelemetryReport {
 };
 
 common::Bytes encode_telemetry_report(const TelemetryReport& report);
-// Rejects the whole report when the envelope or any section is corrupt.
-// When a section's own codec rejected it, `bad_section` (if given) receives
-// the drop kind of that section's data (kMetric for the samples).
+// Rejects the whole report when the envelope or any section is corrupt, or
+// when any sample, histogram, trace summary or sketch names a gateway other
+// than the envelope's. When a section was rejected, `bad_section` (if given)
+// receives the drop kind of that section's data (kMetric for the samples).
 common::Result<TelemetryReport> decode_telemetry_report(
     common::BytesView data,
     std::optional<Metricsd::DropKind>* bad_section = nullptr);

@@ -115,9 +115,9 @@ std::vector<obs::Event> Orchestrator::events_of_type(
   return out;
 }
 
-void Orchestrator::set_event_retention(std::size_t max_events) {
-  event_retention_ = max_events;
-  while (events_.size() > event_retention_) {
+void Orchestrator::append_event(obs::Event event) {
+  events_.push_back(std::move(event));
+  if (events_.size() > kEventRetention) {
     events_.pop_front();
     ++stats_.events_dropped;
   }
@@ -243,11 +243,7 @@ void Orchestrator::note_store_decode_error(const std::string& key,
   event.source = "streamer";
   event.message = key + ": " + what;
   event.severity = obs::EventSeverity::kWarn;
-  events_.push_back(std::move(event));
-  if (events_.size() > event_retention_) {
-    events_.pop_front();
-    ++stats_.events_dropped;
-  }
+  append_event(std::move(event));
 }
 
 DesiredState Orchestrator::build_full_state() {
@@ -350,13 +346,6 @@ DesiredUpdate Orchestrator::desired_update(const GetUpdatesRequest& request) {
   return u;
 }
 
-std::uint64_t Orchestrator::assigned_keep_per_op() const {
-  if (fleet_trace_budget_ == 0) return 0;
-  const std::uint64_t fleet =
-      std::max<std::uint64_t>(1, gateways_.size());
-  return std::max<std::uint64_t>(1, fleet_trace_budget_ / fleet);
-}
-
 void Orchestrator::note_ingest_shed() {
   ++stats_.ingest_sheds;
   metricsd_.ingest(MetricSample{node_label_, "orc8r_ingest_shed",
@@ -367,13 +356,6 @@ void Orchestrator::note_ingest_shed() {
 // ---------------------------------------------------------------------------
 // Fleet SLO layer
 // ---------------------------------------------------------------------------
-
-void Orchestrator::add_slo(obs::slo::SloSpec spec) {
-  std::erase_if(slos_, [&](const obs::slo::SloSpec& s) {
-    return s.name == spec.name;
-  });
-  slos_.push_back(std::move(spec));
-}
 
 void Orchestrator::start_slo_tick(sim::Duration interval) {
   if (slo_tick_started_) return;
@@ -457,7 +439,7 @@ void Orchestrator::on_downtime_close(
   // Wait out the settle delay so the recovered gateway's next metrics tick
   // (carrying the counters that grew mid-outage) and its buffered events
   // have landed before the join reads the evidence.
-  kernel_.schedule(attribution_settle_,
+  kernel_.schedule(kAttributionSettle,
                    [this, gw = gateway_id, iv = interval]() mutable {
                      attribute_interval(gw, std::move(iv));
                    });
@@ -541,11 +523,7 @@ void Orchestrator::attribute_interval(const std::string& gateway_id,
   event.message = std::string(obs::slo::downtime_cause_name(cause)) +
                   (detail.empty() ? "" : ": " + detail);
   event.severity = obs::EventSeverity::kWarn;
-  events_.push_back(std::move(event));
-  if (events_.size() > event_retention_) {
-    events_.pop_front();
-    ++stats_.events_dropped;
-  }
+  append_event(std::move(event));
 }
 
 // ---------------------------------------------------------------------------
@@ -601,9 +579,9 @@ void Orchestrator::bind(rpc::RpcNode& node) {
           respond(rpc::Error{services.error()});
           return;
         }
-        // Inventory bookkeeping stays inline (cheap, and the response's
-        // tail budget needs the fleet size); the statusd apply — health FSM
-        // plus per-service snapshot storage — rides the ingest shards.
+        // Inventory bookkeeping stays inline (cheap); the statusd apply —
+        // health FSM plus per-service snapshot storage — rides the ingest
+        // queue.
         auto& record = gateways_[gateway_id];
         record.id = gateway_id;
         if (record.description.empty()) record.description = description;
@@ -611,20 +589,16 @@ void Orchestrator::bind(rpc::RpcNode& node) {
         ++record.checkin_count;
         ++stats_.checkins;
         obs::svc_request(svc_statusd_);
-        if (!ingest_.submit(
-                gateway_id, IngestKind::kCheckin,
-                [this, gateway_id,
-                 snapshot = std::move(services).take()]() mutable {
-                  statusd_.record_checkin(gateway_id, std::move(snapshot));
-                })) {
+        if (!ingest_.submit(gateway_id,
+                            [this, gateway_id,
+                             snapshot = std::move(services).take()]() mutable {
+                              statusd_.record_checkin(gateway_id,
+                                                      std::move(snapshot));
+                            })) {
           note_ingest_shed();
         }
-        rpc::Writer w;
-        w.boolean(true);
-        // Fleet-wide tail-sampling budget: this gateway's keep-per-op K
-        // (0: unmanaged, keep the local config).
-        w.u64(assigned_keep_per_op());
-        respond(std::move(w).take());
+        // A pure heartbeat: the ack carries nothing.
+        respond(rpc::Bytes{});
       });
 
   node.register_method(
@@ -653,8 +627,8 @@ void Orchestrator::bind(rpc::RpcNode& node) {
         auto decoded = decode_telemetry_report(request, &bad_section);
         if (!decoded.ok()) {
           obs::svc_error(svc_metricsd_, decoded.error().message);
-          // kMetric counts retention trims only: undecodable samples were
-          // never a metricsd drop.
+          // kMetric counts retention trims only: undecodable or foreign
+          // samples were never a metricsd drop.
           if (bad_section.has_value() &&
               *bad_section != Metricsd::DropKind::kMetric) {
             metricsd_.note_drop(*bad_section);
@@ -665,7 +639,7 @@ void Orchestrator::bind(rpc::RpcNode& node) {
         ++stats_.metric_reports;
         TelemetryReport report = std::move(decoded).take();
         const std::string gateway_id = report.gateway_id;
-        if (!ingest_.submit(gateway_id, IngestKind::kMetrics,
+        if (!ingest_.submit(gateway_id,
                             [this, report = std::move(report)]() mutable {
                               metricsd_.ingest(report.samples);
                               metricsd_.ingest_histograms(report.histograms);
@@ -720,12 +694,8 @@ void Orchestrator::bind(rpc::RpcNode& node) {
             tracer_->tag(span, "gateway", e.gateway_id);
             tracer_->end(span);
           }
-          events_.push_back(std::move(e));
+          append_event(std::move(e));
           ++stats_.events_ingested;
-          if (events_.size() > event_retention_) {
-            events_.pop_front();
-            ++stats_.events_dropped;
-          }
         }
         ++stats_.event_reports;
         respond(rpc::Bytes{});

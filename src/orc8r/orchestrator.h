@@ -17,7 +17,8 @@
 // cost one serialization) and serves version-ranged deltas from a bounded
 // log of recent mutations, falling back to the idempotent full sync for
 // first contact, epoch changes, regressions, and log gaps. Southbound
-// report applies run behind IngestShards' per-gateway bounded queues.
+// report applies run behind one ingest queue with a per-gateway cap; the
+// checkin is a pure heartbeat, answered with an empty ack.
 #pragma once
 
 #include <cstdint>
@@ -78,9 +79,8 @@ struct OrchestratorStats {
   // Store blobs that failed to deserialize while building the full state
   // (also pushed as the orchestrator_store_decode_errors gauge).
   std::uint64_t store_decode_errors = 0;
-  // Southbound report applies shed at a full per-gateway ingest queue
-  // (also pushed as the orc8r_ingest_shed gauge; IngestShards has the
-  // per-kind breakdown).
+  // Southbound report applies shed at a gateway's ingest cap (also pushed
+  // as the orc8r_ingest_shed gauge).
   std::uint64_t ingest_sheds = 0;
   // SLO layer: periodic derived-SLI evaluations, and the downtime
   // attribution join's outcomes (labeled = a non-unknown cause was found).
@@ -121,10 +121,10 @@ class Orchestrator {
   Statusd& statusd() { return statusd_; }
   const Statusd& statusd() const { return statusd_; }
 
-  // Sharded southbound ingest: report applies (statusd/metricsd mutations)
-  // run behind per-gateway bounded queues, not inline in the RPC handlers.
-  IngestShards& ingest() { return ingest_; }
-  const IngestShards& ingest() const { return ingest_; }
+  // Southbound ingest: report applies (statusd/metricsd mutations) run
+  // behind one bounded queue, not inline in the RPC handlers.
+  IngestQueue& ingest() { return ingest_; }
+  const IngestQueue& ingest() const { return ingest_; }
 
   // The orchestrator's own Service303 registry: every southbound service
   // (streamer, bootstrapper, state, metricsd, eventd, statusd) counts its
@@ -136,7 +136,6 @@ class Orchestrator {
   // milestones), newest last; bounded retention, oldest dropped.
   const std::deque<obs::Event>& events() const { return events_; }
   std::vector<obs::Event> events_of_type(const std::string& type) const;
-  void set_event_retention(std::size_t max_events);
 
   // Tracing: when set, event ingestion anchors an "ingest_event" span into
   // each event's originating trace, and bind()-created handlers run traced.
@@ -155,17 +154,6 @@ class Orchestrator {
   // instead of silently shrinking the config.
   DesiredUpdate desired_update(const GetUpdatesRequest& request);
 
-  // Fleet-wide tail-sampling budget: on checkin each gateway is assigned
-  // keep-per-op K = clamp(budget / fleet size, 1, ...), so trace ingest
-  // stays bounded as the fleet grows. 0 (default): unmanaged — gateways
-  // keep their locally configured K.
-  void set_fleet_trace_budget(std::uint64_t budget) {
-    fleet_trace_budget_ = budget;
-  }
-  std::uint64_t fleet_trace_budget() const { return fleet_trace_budget_; }
-  // K currently handed out at checkin (0 when unmanaged).
-  std::uint64_t assigned_keep_per_op() const;
-
   // Mutations the delta log retains; older gaps fall back to full sync.
   void set_delta_log_cap(std::size_t cap);
 
@@ -174,7 +162,6 @@ class Orchestrator {
   // already flow southbound: gateway availability from statusd's health
   // FSM, attach success rate from structured events, attach p95 from the
   // shipped histograms, and config-sync freshness from streamer polls.
-  void add_slo(obs::slo::SloSpec spec);
   const std::vector<obs::slo::SloSpec>& slos() const { return slos_; }
   // Begin the periodic SLO evaluation (derived histogram SLIs). NOT started
   // implicitly for the same reason as statusd's sweep — the tick
@@ -193,13 +180,6 @@ class Orchestrator {
                                                    sim::TimePoint to) const {
     return orc8r::availability_rollup(statusd_.availability(), from, to);
   }
-  // Delay between a downtime interval closing and the attribution join
-  // reading the evidence — long enough for the recovered gateway's next
-  // metrics tick (with the counters that grew mid-outage) to land.
-  void set_attribution_settle(sim::Duration settle) {
-    attribution_settle_ = settle;
-  }
-
   // --- Southbound RPC surface -------------------------------------------
   // Bind streamer/bootstrapper/state/metricsd handlers onto a node (one per
   // connected AGW link; handlers share this orchestrator's state).
@@ -227,6 +207,9 @@ class Orchestrator {
   void note_store_decode_error(const std::string& key,
                                const std::string& what);
   void note_ingest_shed();
+  // Append to the event store, dropping the oldest beyond kEventRetention.
+  void append_event(obs::Event event);
+  static constexpr std::size_t kEventRetention = 65536;
   void slo_tick(sim::Duration interval);
   // Downtime attribution join (statusd ledger hooks): snapshot the
   // fleet critical-path profile when an interval opens, gather counter
@@ -245,7 +228,7 @@ class Orchestrator {
   std::map<std::string, common::Bytes> checkpoints_;
   Metricsd metricsd_;
   Statusd statusd_{kernel_, &metricsd_};
-  IngestShards ingest_{kernel_};
+  IngestQueue ingest_{kernel_};
   obs::StatusRegistry status_{kernel_};
   // Per-service Service303 handles (owned by status_; stable addresses).
   obs::Service303* svc_streamer_ = nullptr;
@@ -255,7 +238,6 @@ class Orchestrator {
   obs::Service303* svc_eventd_ = nullptr;
   obs::Service303* svc_statusd_ = nullptr;
   std::deque<obs::Event> events_;
-  std::size_t event_retention_ = 65536;
   obs::Tracer* tracer_ = nullptr;
   std::string node_label_ = "orc8r";
 
@@ -275,12 +257,13 @@ class Orchestrator {
   bool cached_full_valid_ = false;
   common::Bytes cached_full_;
 
-  std::uint64_t fleet_trace_budget_ = 0;
-
   // SLO layer state.
   std::vector<obs::slo::SloSpec> slos_;
   bool slo_tick_started_ = false;
-  sim::Duration attribution_settle_ = 90 * sim::kSecond;
+  // Delay between a downtime interval closing and the attribution join
+  // reading the evidence — long enough for the recovered gateway's next
+  // metrics tick (with the counters that grew mid-outage) to land.
+  static constexpr sim::Duration kAttributionSettle = 90 * sim::kSecond;
   // Fleet critical-path (runq_s, total_s) snapshot taken when a gateway's
   // downtime interval opened, keyed by gateway — the overload lens.
   std::map<std::string, std::pair<double, double>> open_runq_snapshots_;

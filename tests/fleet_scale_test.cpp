@@ -1,14 +1,13 @@
 // Fleet-scale control plane: the delta-capable streamer (version-cached
-// full blobs, coalesced version-ranged deltas, epoch/regression fallback),
-// the orchestrator's sharded southbound ingest, and the fleet-wide
-// tail-sampling budget assigned on checkin.
+// full blobs, coalesced version-ranged deltas, epoch/regression fallback)
+// and the orchestrator's southbound ingest queue.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "agw/magmad.h"
 #include "net/channel.h"
-#include "obs/tail_sampler.h"
 #include "orc8r/ingest.h"
 #include "orc8r/orchestrator.h"
 
@@ -39,93 +38,54 @@ orc8r::GetUpdatesRequest poll(std::uint64_t have_version,
 }
 
 // ---------------------------------------------------------------------------
-// IngestShards
+// IngestQueue
 // ---------------------------------------------------------------------------
-
-TEST(FleetIngest, ShardAssignmentIsStableAndInRange) {
-  for (std::size_t shards : {1u, 4u, 7u}) {
-    for (int g = 0; g < 50; ++g) {
-      const std::string id = "gw" + std::to_string(g);
-      const std::size_t s = orc8r::IngestShards::shard_of(id, shards);
-      EXPECT_LT(s, shards);
-      EXPECT_EQ(s, orc8r::IngestShards::shard_of(id, shards));
-    }
-  }
-  // FNV-1a, not std::hash: the assignment is a fixed function of the bytes.
-  EXPECT_EQ(orc8r::IngestShards::shard_of("gw0", 4),
-            orc8r::IngestShards::shard_of("gw0", 4));
-}
 
 TEST(FleetIngest, AppliesInFifoOrderPerGateway) {
   sim::Kernel kernel;
-  orc8r::IngestShards ingest(kernel);
-  std::vector<int> order;
+  orc8r::IngestQueue ingest(kernel);
+  std::vector<std::string> order;
   for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(ingest.submit("gw0", orc8r::IngestKind::kMetrics,
-                              [&order, i]() { order.push_back(i); }));
+    const std::string gw = i % 2 == 0 ? "gw0" : "gw1";
+    EXPECT_TRUE(ingest.submit(gw, [&order, gw, i]() {
+      order.push_back(gw + ":" + std::to_string(i));
+    }));
   }
   EXPECT_EQ(ingest.pending(), 10u);
   kernel.run_until(sim::kSecond);
   EXPECT_EQ(ingest.pending(), 0u);
+  // One FIFO: applies come out in submission order, interleaved gateways
+  // included.
   ASSERT_EQ(order.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(order[i], (i % 2 == 0 ? "gw0:" : "gw1:") + std::to_string(i));
+  }
   EXPECT_EQ(ingest.stats().processed, 10u);
   EXPECT_EQ(ingest.stats().shed, 0u);
+  EXPECT_EQ(ingest.stats().max_gateway_queue, 5u);
+  EXPECT_EQ(ingest.stats().max_pending, 10u);
 }
 
-TEST(FleetIngest, FullGatewayQueueShedsWithKindBreakdown) {
+TEST(FleetIngest, FullGatewayQueueShedsOnlyThatGateway) {
   sim::Kernel kernel;
-  orc8r::IngestConfig config;
-  config.gateway_queue_max = 4;
-  orc8r::IngestShards ingest(kernel, config);
+  orc8r::IngestQueue ingest(kernel);
   int applied = 0;
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(ingest.submit("gw0", orc8r::IngestKind::kCheckin,
-                              [&applied]() { ++applied; }));
+  for (std::size_t i = 0; i < orc8r::IngestQueue::kGatewayQueueMax; ++i) {
+    EXPECT_TRUE(ingest.submit("gw0", [&applied]() { ++applied; }));
   }
-  // Queue full: everything further sheds, by kind, without queueing.
-  EXPECT_FALSE(ingest.submit("gw0", orc8r::IngestKind::kMetrics,
-                             [&applied]() { ++applied; }));
-  EXPECT_FALSE(ingest.submit("gw0", orc8r::IngestKind::kMetrics,
-                             [&applied]() { ++applied; }));
-  EXPECT_FALSE(ingest.submit("gw0", orc8r::IngestKind::kCheckin,
-                             [&applied]() { ++applied; }));
-  EXPECT_EQ(ingest.stats().shed, 3u);
-  EXPECT_EQ(ingest.stats().shed_by_kind[static_cast<std::size_t>(
-                orc8r::IngestKind::kMetrics)],
-            2u);
-  EXPECT_EQ(ingest.stats().shed_by_kind[static_cast<std::size_t>(
-                orc8r::IngestKind::kCheckin)],
-            1u);
-  // A different gateway still gets through.
-  EXPECT_TRUE(ingest.submit("gw1", orc8r::IngestKind::kMetrics,
-                            [&applied]() { ++applied; }));
+  // gw0 is at its cap: its next report sheds without queueing.
+  EXPECT_FALSE(ingest.submit("gw0", [&applied]() { ++applied; }));
+  EXPECT_EQ(ingest.stats().shed, 1u);
+  EXPECT_EQ(ingest.pending(), orc8r::IngestQueue::kGatewayQueueMax);
+  // Another gateway still gets through.
+  EXPECT_TRUE(ingest.submit("gw1", [&applied]() { ++applied; }));
   kernel.run_until(sim::kSecond);
-  EXPECT_EQ(applied, 5);
-  EXPECT_EQ(ingest.stats().max_gateway_queue, 4u);
-}
-
-TEST(FleetIngest, RoundRobinKeepsBackloggedGatewayFromStarvingOthers) {
-  sim::Kernel kernel;
-  orc8r::IngestConfig config;
-  config.shards = 1;  // force both gateways onto the same shard
-  config.batch_per_pump = 2;
-  orc8r::IngestShards ingest(kernel, config);
-  std::vector<std::string> order;
-  for (int i = 0; i < 8; ++i) {
-    ingest.submit("gw-noisy", orc8r::IngestKind::kMetrics,
-                  [&order]() { order.push_back("noisy"); });
-  }
-  ingest.submit("gw-quiet", orc8r::IngestKind::kCheckin,
-                [&order]() { order.push_back("quiet"); });
-  kernel.run_until(sim::kSecond);
-  ASSERT_EQ(order.size(), 9u);
-  // The quiet gateway's single item lands in the first batch (one item per
-  // gateway per round-robin pass), not behind the noisy backlog.
-  const auto quiet_at =
-      std::find(order.begin(), order.end(), "quiet") - order.begin();
-  EXPECT_LT(quiet_at, 2);
-  EXPECT_GE(ingest.stats().batches, 4u);
+  EXPECT_EQ(applied, 65);
+  EXPECT_EQ(ingest.stats().processed, 65u);
+  EXPECT_EQ(ingest.stats().max_gateway_queue,
+            orc8r::IngestQueue::kGatewayQueueMax);
+  // Drained: gw0 has room again.
+  EXPECT_TRUE(ingest.submit("gw0", [&applied]() { ++applied; }));
 }
 
 // ---------------------------------------------------------------------------
@@ -352,7 +312,7 @@ TEST(DeltaStream, UpdateCodecRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
-// End to end over a link: delta fan-out + tail budget
+// End to end over a link: delta fan-out + ingest
 // ---------------------------------------------------------------------------
 
 class FleetScaleRpcTest : public ::testing::Test {
@@ -411,30 +371,7 @@ TEST_F(FleetScaleRpcTest, SteadyStateSyncsRideDeltasNotFullTransfers) {
   EXPECT_EQ(magmad_.synced_version(), orc8r_.config_version());
 }
 
-TEST_F(FleetScaleRpcTest, CheckinAssignsFleetTailBudget) {
-  orc8r_.set_fleet_trace_budget(40);
-  std::vector<std::size_t> assigned;
-  magmad_.set_tail_budget_sink(
-      [&assigned](std::size_t k) { assigned.push_back(k); });
-
-  magmad_.start();
-  kernel_.run_until(3 * sim::kSecond);
-  // Sole gateway: the whole budget.
-  ASSERT_EQ(assigned.size(), 1u);
-  EXPECT_EQ(assigned[0], 40u);
-  EXPECT_EQ(magmad_.assigned_tail_keep(), 40u);
-
-  // The fleet grows to 8: the next checkin reassigns K = 40 / 8.
-  for (int g = 1; g < 8; ++g) {
-    orc8r_.register_gateway("gw" + std::to_string(g), "agw");
-  }
-  kernel_.run_until(80 * sim::kSecond);  // next checkin at t=60s
-  ASSERT_EQ(assigned.size(), 2u);
-  EXPECT_EQ(assigned[1], 5u);
-  EXPECT_EQ(magmad_.stats().tail_budget_updates, 2u);
-}
-
-TEST_F(FleetScaleRpcTest, SouthboundReportsFlowThroughIngestShards) {
+TEST_F(FleetScaleRpcTest, SouthboundReportsFlowThroughIngestQueue) {
   orc8r_.add_subscriber(subscriber(1, "p"));
   agw::MagmadConfig config;
   config.metrics_interval = 5 * sim::kSecond;
@@ -450,62 +387,13 @@ TEST_F(FleetScaleRpcTest, SouthboundReportsFlowThroughIngestShards) {
       config);
   magmad.start();
   kernel_.run_until(sim::kMinute);
-  // Reports landed and were applied via the shards, nothing shed.
+  // Reports landed and were applied via the ingest queue, nothing shed.
   EXPECT_GE(orc8r_.stats().metric_reports, 2u);
   EXPECT_GE(orc8r_.ingest().stats().processed, 2u);
   EXPECT_EQ(orc8r_.ingest().stats().shed, 0u);
   EXPECT_EQ(orc8r_.ingest().pending(), 0u);
   EXPECT_GT(orc8r_.metrics().total_samples(), 0u);
   ASSERT_GE(orc8r_.statusd().stats().checkins, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// TailSampler budget application
-// ---------------------------------------------------------------------------
-
-obs::TraceContext finish_root(sim::Kernel& kernel, obs::Tracer& tracer,
-                              sim::Duration duration) {
-  const obs::TraceContext root = tracer.begin("attach", "lte_frontend", "gw0");
-  kernel.run_until(kernel.now() + duration);
-  tracer.end(root);
-  return root;
-}
-
-TEST(FleetScaleTailBudget, ShrinkingKeepTrimsFastestAndUnpins) {
-  sim::Kernel kernel;
-  obs::Tracer tracer(kernel);
-  obs::TailSamplerConfig config;
-  config.keep_per_op = 4;
-  config.window = sim::kMinute;
-  obs::TailSampler sampler(kernel, tracer, config);
-
-  const obs::TraceContext t10 =
-      finish_root(kernel, tracer, 10 * sim::kMillisecond);
-  const obs::TraceContext t20 =
-      finish_root(kernel, tracer, 20 * sim::kMillisecond);
-  const obs::TraceContext t30 =
-      finish_root(kernel, tracer, 30 * sim::kMillisecond);
-  const obs::TraceContext t40 =
-      finish_root(kernel, tracer, 40 * sim::kMillisecond);
-  ASSERT_EQ(sampler.held(), 4u);
-
-  // Budget cut to 2: the two fastest keeps are trimmed and unpinned.
-  sampler.set_keep_per_op(2);
-  EXPECT_EQ(sampler.held(), 2u);
-  EXPECT_TRUE(tracer.trace_pinned(t40.trace_id));
-  EXPECT_TRUE(tracer.trace_pinned(t30.trace_id));
-  EXPECT_FALSE(tracer.trace_pinned(t20.trace_id));
-  EXPECT_FALSE(tracer.trace_pinned(t10.trace_id));
-  EXPECT_EQ(sampler.stats().budget_trims, 2u);
-
-  // New roots obey the smaller K.
-  finish_root(kernel, tracer, 50 * sim::kMillisecond);
-  EXPECT_EQ(sampler.held(), 2u);
-
-  // 0 clamps to 1 — a managed gateway always keeps its slowest trace.
-  sampler.set_keep_per_op(0);
-  EXPECT_EQ(sampler.keep_per_op(), 1u);
-  EXPECT_EQ(sampler.held(), 1u);
 }
 
 }  // namespace

@@ -24,7 +24,6 @@
 #include "proto/wifi/radius.h"
 #include "rpc/wire.h"
 #include "sim/random.h"
-#include "store/state_store.h"
 #include "store/wal_store.h"
 
 namespace magma {
@@ -46,7 +45,6 @@ void decode_everything(common::BytesView data) {
   (void)proto::wifi::decode_radius(data);
   (void)datapath::Packet::parse(data);
   (void)store::WalStore::deserialize(data);
-  (void)store::StateStore::restore(data);
   (void)agw::SessionFlows::deserialize(data);
   (void)agw::SubscriberData::deserialize(data);
   (void)core::Policy::deserialize(data);
@@ -481,7 +479,8 @@ TEST(FuzzSketchReport, HostileFieldsRejectedWithoutAllocating) {
 // plus four length-prefixed sections, each one of the codecs above. The
 // envelope must reject truncation, trailing bytes and section lengths past
 // the buffer on its own (no section is credited with the drop); a section
-// its own codec rejects fails the whole report and names that section.
+// its own codec rejects, or one with an item naming another gateway, fails
+// the whole report and names that section.
 TEST(FuzzTelemetryReport, RoundTripTruncationAndHostileSections) {
   orc8r::TelemetryReport report;
   report.gateway_id = "gw-fuzz";
@@ -588,6 +587,23 @@ TEST(FuzzTelemetryReport, RoundTripTruncationAndHostileSections) {
     EXPECT_FALSE(
         orc8r::decode_telemetry_report(std::move(w).take(), &section).ok());
     EXPECT_EQ(section, kinds[bad]) << "section " << bad;
+  }
+  // Each section in turn carries a well-formed item naming another gateway:
+  // the whole report fails and the section's drop kind comes back.
+  for (std::size_t foreign = 0; foreign < 4; ++foreign) {
+    orc8r::TelemetryReport spoofed = report;
+    switch (foreign) {
+      case 0: spoofed.samples[0].gateway_id = "gw-other"; break;
+      case 1: spoofed.histograms[0].gateway_id = "gw-other"; break;
+      case 2: spoofed.summaries[0].gateway_id = "gw-other"; break;
+      default: spoofed.sketch->gateway_id = "gw-other"; break;
+    }
+    std::optional<orc8r::Metricsd::DropKind> section;
+    EXPECT_FALSE(orc8r::decode_telemetry_report(
+                     orc8r::encode_telemetry_report(spoofed), &section)
+                     .ok())
+        << "section " << foreign;
+    EXPECT_EQ(section, kinds[foreign]) << "section " << foreign;
   }
   // Bit flips: reject or decode, never crash.
   sim::Rng rng(29);

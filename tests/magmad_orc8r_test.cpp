@@ -563,5 +563,57 @@ TEST_F(TelemetryReportTest, CorruptHistogramSectionAppliesNothing) {
   EXPECT_FALSE(metrics.latest("gw0", "active_sessions").has_value());
 }
 
+TEST_F(TelemetryReportTest, ForeignGatewayItemsAreRejected) {
+  // gw0's envelope may only carry gw0's data: ingest routes and sheds on
+  // the envelope while metricsd stores each item under its own gateway id,
+  // so an item naming gw1 would overwrite gw1's series, histogram, trace
+  // summaries or sketch. Each report below spoofs gw1 in one section.
+  const orc8r::Metricsd& metrics = orc8r_.metrics();
+  orc8r::HistogramSnapshot hist;
+  hist.gateway_id = "gw1";
+  hist.name = "attach_s";
+  hist.bounds = {0.1, 1.0};
+  hist.counts = {1, 2, 3};
+  hist.sum = 4.2;
+  obs::TraceSummary summary;
+  summary.root_op = "attach";
+  summary.gateway_id = "gw1";
+  summary.trace_id = 7;
+  obs::sketch::SubscriberSketches sketches;
+  sketches.record(obs::sketch::SubscriberMetric::kAttachFailures,
+                  "IMSI001010000000001", 3, 0xe1);
+  std::vector<orc8r::TelemetryReport> spoofed(4);
+  for (orc8r::TelemetryReport& report : spoofed) report.gateway_id = "gw0";
+  spoofed[0].samples.push_back(
+      orc8r::MetricSample{"gw1", "active_sessions", 3.0, 0});
+  spoofed[1].histograms.push_back(hist);
+  spoofed[2].summaries.push_back(summary);
+  spoofed[3].sketch = sketches.snapshot("gw1", 0);
+
+  int rejected = 0;
+  for (const orc8r::TelemetryReport& report : spoofed) {
+    client_node_.call(orc8r::kMetricsService, orc8r::kReportMetrics,
+                      orc8r::encode_telemetry_report(report),
+                      5 * sim::kSecond, [&](rpc::Result<rpc::Bytes> result) {
+                        if (!result.ok()) ++rejected;
+                      });
+  }
+  kernel_.run_until(5 * sim::kSecond);
+
+  EXPECT_EQ(rejected, 4);
+  EXPECT_EQ(orc8r_.stats().metric_reports, 0u);
+  EXPECT_EQ(orc8r_.ingest().stats().submitted, 0u);
+  EXPECT_FALSE(metrics.latest("gw1", "active_sessions").has_value());
+  EXPECT_EQ(metrics.histogram_count("attach_s"), 0u);
+  EXPECT_EQ(metrics.trace_summaries_ingested(), 0u);
+  EXPECT_EQ(metrics.sketch_reports_ingested(), 0u);
+  // One drop per spoofed section, except samples (never a metricsd drop).
+  using Kind = orc8r::Metricsd::DropKind;
+  EXPECT_EQ(metrics.samples_dropped(Kind::kMetric), 0u);
+  EXPECT_EQ(metrics.samples_dropped(Kind::kHistogram), 1u);
+  EXPECT_EQ(metrics.samples_dropped(Kind::kTraceSummary), 1u);
+  EXPECT_EQ(metrics.samples_dropped(Kind::kSketch), 1u);
+}
+
 }  // namespace
 }  // namespace magma

@@ -1,10 +1,9 @@
 // Durable store semantics: WAL replay, checkpointing, crash recovery,
-// serialization, file persistence; state-store snapshot/restore.
+// serialization, file persistence.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
-#include "store/state_store.h"
 #include "store/wal_store.h"
 
 namespace magma::store {
@@ -124,42 +123,6 @@ TEST(WalStore, FileRoundTrip) {
 TEST(WalStore, LoadMissingFileFails) {
   EXPECT_EQ(WalStore::load_from_file("/tmp/definitely_missing_49x").code(),
             common::ErrorCode::kNotFound);
-}
-
-TEST(StateStore, SnapshotRestoreEquivalence) {
-  StateStore store;
-  store.put("session/IMSI1", to_bytes("state1"));
-  store.put("session/IMSI2", to_bytes("state2"));
-  store.put("other", to_bytes("x"));
-
-  auto restored = StateStore::restore(store.snapshot());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_TRUE(restored.value() == store);
-}
-
-TEST(StateStore, ErasePrefix) {
-  StateStore store;
-  store.put("s/1", to_bytes("a"));
-  store.put("s/2", to_bytes("b"));
-  store.put("t/1", to_bytes("c"));
-  EXPECT_EQ(store.erase_prefix("s/"), 2u);
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_TRUE(store.contains("t/1"));
-}
-
-TEST(StateStore, RestoreRejectsCorruptImage) {
-  StateStore store;
-  store.put("k", to_bytes("v"));
-  common::Bytes image = store.snapshot();
-  image.resize(image.size() - 3);  // truncate
-  EXPECT_FALSE(StateStore::restore(image).ok());
-}
-
-TEST(StateStore, EmptySnapshotRoundTrip) {
-  StateStore store;
-  auto restored = StateStore::restore(store.snapshot());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored.value().size(), 0u);
 }
 
 }  // namespace
