@@ -4,7 +4,8 @@
 // number of UEs ... The failure of a single AGW would impact the set of UEs
 // currently served by the attached base stations, but has no impact on the
 // rest of the network." And: the checkpointed runtime state brings a backup
-// cloud instance into service for the affected UEs.
+// cloud instance into service for the affected UEs, once its desired-state
+// sync has brought back the config.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -86,6 +87,13 @@ int main() {
   agw::AccessGateway& backup = net.add_agw(agw::virtual_xeon(4));
   // The backup takes over gw0's RAN endpoints (S1 + GTP) and its state.
   net.adopt_ran(backup, *domains[0].agw);
+  // Config state comes back by desired-state sync (the backup's first poll
+  // is a full sync); the checkpoint then restores runtime state on top.
+  net.run_for(3 * sim::kSecond);
+  const bool synced =
+      backup.magmad().synced_version() == net.orchestrator().config_version();
+  std::printf("backup AGW synced config: %s (%zu subscribers)\n",
+              synced ? "OK" : "FAILED", backup.subscriberdb().size());
   const common::Status restored = backup.restore(*image);
   std::printf("backup AGW restored from checkpoint (%zu bytes): %s, "
               "%zu sessions recovered\n",
@@ -99,7 +107,7 @@ int main() {
 
   const bool holds = impacted == kUesPerAgw &&
                      unaffected == (kAgws - 1) * kUesPerAgw &&
-                     restored.ok() && recovered == kUesPerAgw;
+                     synced && restored.ok() && recovered == kUesPerAgw;
   std::printf("\nSHAPE %s: blast radius = exactly one fault domain "
               "(1/%d of the network), full recovery from the checkpoint.\n",
               holds ? "HOLDS" : "DIVERGES", kAgws);

@@ -256,9 +256,13 @@ common::Bytes AccessGateway::checkpoint() const {
   // instance must keep handing out (and honouring) the same addresses.
   w.u32(profile_.ip_block.base.addr);
   w.u8(profile_.ip_block.prefix_len);
-  w.bytes(subscriberdb_.snapshot());
-  w.bytes(policydb_.snapshot());
   w.bytes(sessiond_->checkpoint());
+  const auto sqns = subscriberdb_.advanced_sqns();
+  w.u64(sqns.size());
+  for (const auto& [imsi, sqn] : sqns) {
+    w.str(imsi.value);
+    w.u64(sqn);
+  }
   return std::move(w).take();
 }
 
@@ -267,26 +271,30 @@ common::Status AccessGateway::restore(common::BytesView image) {
   IpBlock block;
   block.base.addr = r.u32();
   block.prefix_len = r.u8();
-  const common::Bytes subs = r.bytes();
-  const common::Bytes policies = r.bytes();
   const common::Bytes sessions = r.bytes();
-  if (!r.ok() || !r.at_end() || block.prefix_len > 32) {
+  const std::uint64_t sqn_count = r.u64();
+  SubscriberDb::Sqns sqns;
+  for (std::uint64_t i = 0; i < sqn_count && r.ok(); ++i) {
+    common::Imsi imsi{r.str()};
+    sqns.emplace_back(std::move(imsi), r.u64());
+  }
+  if (!r.ok() || !r.at_end() || block.prefix_len < 1 ||
+      block.prefix_len > 32) {
     return common::Error{common::ErrorCode::kInvalidArgument,
                          "corrupt AGW checkpoint"};
   }
-  if (auto status = subscriberdb_.restore(subs); !status.ok()) return status;
-  if (auto status = policydb_.restore(policies); !status.ok()) return status;
-  if (auto status = sessiond_->restore(sessions); !status.ok()) return status;
-  // Take over the failed instance's address space and its assignments.
+  // Take over the failed instance's address space and its assignments. An
+  // address mobilityd cannot adopt rejects the image before anything commits.
+  Mobilityd mobilityd(block);
+  const common::Status status =
+      sessiond_->restore(sessions, [&mobilityd](const SessionRecord& s) {
+        return mobilityd.adopt(s.imsi, s.flows.ue_ip);
+      });
+  if (!status.ok()) return status;
   profile_.ip_block = block;
-  mobilityd_ = Mobilityd(block);
+  mobilityd_ = std::move(mobilityd);
   mobilityd_.set_status(svc_mobilityd_);
-  for (const common::Imsi& imsi : sessiond_->active_imsis()) {
-    const SessionRecord* session = sessiond_->find(imsi);
-    if (session != nullptr) {
-      mobilityd_.adopt(imsi, session->flows.ue_ip).ok();
-    }
-  }
+  subscriberdb_.raise_sqns(sqns);
   return common::Status::Ok();
 }
 

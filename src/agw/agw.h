@@ -10,8 +10,8 @@
 //   * hardware profiles matching the paper's two test AGWs (bare-metal
 //     Intel J3160 and the Xeon 6126 VM with a configurable vCPU count and
 //     optional static user-plane core pinning) — Figures 6/7/8;
-//   * whole-gateway checkpoint/restore, the small-fault-domain story of
-//     §3.3 (a backup instance resumes from the shipped image);
+//   * runtime-state checkpoint/restore, the small-fault-domain story of
+//     §3.3 (a backup instance syncs, then resumes from the shipped image);
 //   * telemetry for magmad to report.
 #pragma once
 
@@ -120,8 +120,9 @@ class AccessGateway {
   void set_egress(EgressHandler handler) { egress_ = std::move(handler); }
 
   // --- fault tolerance ------------------------------------------------------
-  // Serialized runtime+cached-config image (§3.3). restore() brings this
-  // (fresh) instance up from another instance's checkpoint.
+  // Serialized runtime state (§3.3): UE address block, sessions, advanced
+  // auth SQNs. A backup syncs config first, then restore()s (all-or-nothing)
+  // another instance's checkpoint; the SQNs land on synced subscribers.
   common::Bytes checkpoint() const;
   common::Status restore(common::BytesView image);
 

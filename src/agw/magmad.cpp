@@ -55,14 +55,6 @@ void Magmad::run_loop(sim::Duration interval,
                    [this, interval, tick]() { run_loop(interval, tick); });
 }
 
-void Magmad::apply(const orc8r::DesiredState& state) {
-  MAGMA_HOST_SCOPE("magmad", "apply_full");
-  subscribers_.replace_all(state.subscribers);
-  policies_.replace_all(state.policies);
-  synced_version_ = state.version;
-  ++stats_.config_syncs_applied;
-}
-
 bool Magmad::apply_delta(const orc8r::DesiredUpdate& update) {
   MAGMA_HOST_SCOPE("magmad", "apply_delta");
   for (const orc8r::DeltaEntry& e : update.entries) {
@@ -92,72 +84,57 @@ bool Magmad::apply_delta(const orc8r::DesiredUpdate& update) {
   return true;
 }
 
-void Magmad::handle_update(const orc8r::DesiredUpdate& update,
-                           const std::function<void(bool)>& done) {
+void Magmad::fail_sync(const std::string& why, bool forget_version) {
+  ++stats_.sync_failures;
+  obs::svc_error(status_, "config sync: " + why);
+  if (forget_version) {
+    synced_version_ = 0;
+    synced_epoch_ = 0;
+  }
+}
+
+void Magmad::handle_update(const orc8r::DesiredUpdate& update) {
   switch (update.mode) {
     case orc8r::SyncMode::kNoop:
       ++stats_.config_polls_noop;
-      if (done) done(false);
       return;
     case orc8r::SyncMode::kFull: {
       auto state = orc8r::DesiredState::deserialize(update.full);
-      if (!state.ok()) {
-        ++stats_.sync_failures;
-        obs::svc_error(status_, "config sync: " + state.error().message);
-        if (done) done(false);
-        return;
-      }
+      if (!state.ok()) return fail_sync(state.error().message);
       // The orchestrator is the source of truth: a full sync is applied
       // even when its version goes backwards (restart with an older or
       // rebuilt store) — converging on the authoritative state beats
       // wedging on stale-but-newer local state.
       if (synced_epoch_ != 0 && update.epoch != synced_epoch_) {
         ++stats_.epoch_resyncs;
+        // A replacement orchestrator holds no checkpoint of ours.
+        acked_checkpoint_.reset();
       }
-      if (update.epoch == synced_epoch_ && update.version < synced_version_) {
-        ++stats_.sync_regressions;
+      {
+        MAGMA_HOST_SCOPE("magmad", "apply_full");
+        subscribers_.replace_all(state.value().subscribers);
+        policies_.replace_all(state.value().policies);
       }
-      apply(state.value());
       synced_version_ = update.version;
       synced_epoch_ = update.epoch;
       ++stats_.config_full_syncs;
-      if (done) done(true);
+      ++stats_.config_syncs_applied;
       return;
     }
-    case orc8r::SyncMode::kDelta: {
+    case orc8r::SyncMode::kDelta:
+      // Deltas from another incarnation must never splice onto our state.
       if (update.epoch != synced_epoch_) {
-        // Deltas from another incarnation must never splice onto our
-        // state; discard and force a full resync.
-        ++stats_.sync_failures;
-        synced_version_ = 0;
-        synced_epoch_ = 0;
-        obs::svc_error(status_, "config sync: delta from foreign epoch");
-        if (done) done(false);
-        return;
+        return fail_sync("delta from foreign epoch", true);
       }
-      if (!apply_delta(update)) {
-        // A corrupt entry may have been half-applied; resetting the synced
-        // state makes the next poll a full sync — the idempotent
-        // replace_all repairs whatever the partial delta left behind.
-        ++stats_.sync_failures;
-        synced_version_ = 0;
-        synced_epoch_ = 0;
-        obs::svc_error(status_, "config sync: corrupt delta entry");
-        if (done) done(false);
-        return;
-      }
-      if (done) done(true);
+      // A corrupt entry may have been half-applied; the full resync's
+      // idempotent replace_all repairs whatever it left behind.
+      if (!apply_delta(update)) fail_sync("corrupt delta entry", true);
       return;
-    }
   }
-  if (done) done(false);
 }
 
-void Magmad::sync_config_now(std::function<void(bool)> done) {
-  if (orc8r_ == nullptr) {
-    if (done) done(false);
-    return;
-  }
+void Magmad::sync_config_now() {
+  if (orc8r_ == nullptr) return;
   orc8r::GetUpdatesRequest req;
   req.gateway_id = gateway_id_;
   req.have_version = synced_version_;
@@ -165,26 +142,19 @@ void Magmad::sync_config_now(std::function<void(bool)> done) {
   obs::svc_request(status_);
   orc8r_->call(
       orc8r::kStreamerService, orc8r::kGetUpdates, req.serialize(),
-      config_.sync_rpc_deadline, [this, done](rpc::Result<rpc::Bytes> result) {
+      config_.sync_rpc_deadline, [this](rpc::Result<rpc::Bytes> result) {
         if (!result.ok()) {
-          ++stats_.sync_failures;
           if (result.error().code == rpc::ErrorCode::kDeadlineExceeded) {
             obs::svc_deadline(status_);
           }
-          obs::svc_error(status_, "config sync: " + result.error().message);
+          fail_sync(result.error().message);
           set_reachable(false);
-          if (done) done(false);
           return;
         }
         set_reachable(true);
         auto update = orc8r::DesiredUpdate::deserialize(result.value());
-        if (!update.ok()) {
-          ++stats_.sync_failures;
-          obs::svc_error(status_, "config sync: " + update.error().message);
-          if (done) done(false);
-          return;
-        }
-        handle_update(update.value(), done);
+        if (!update.ok()) return fail_sync(update.error().message);
+        handle_update(update.value());
       });
 }
 
@@ -373,18 +343,26 @@ sim::Duration Magmad::event_tick() {
 }
 
 sim::Duration Magmad::checkpoint_tick() {
+  common::Bytes image = checkpoint_source_();
+  // The orchestrator already stores an image equal to this one.
+  if (acked_checkpoint_ == image) return config_.checkpoint_interval;
   if (shed_telemetry()) return config_.checkpoint_interval;
   rpc::Writer w;
   w.str(gateway_id_);
-  w.bytes(checkpoint_source_());
+  w.bytes(image);
   obs::svc_request(status_);
   orc8r_->call(orc8r::kStateService, orc8r::kReportCheckpoint,
                std::move(w).take(), config_.rpc_deadline,
-               [this](rpc::Result<rpc::Bytes> result) {
+               [this, image = std::move(image)](
+                   rpc::Result<rpc::Bytes> result) mutable {
                  if (result.ok()) {
                    ++stats_.checkpoints_shipped;
+                   acked_checkpoint_ = std::move(image);
                  } else {
+                   // The orchestrator may hold this image, the acked one or
+                   // none: ship whatever the next tick finds.
                    ++stats_.checkpoint_failures;
+                   acked_checkpoint_.reset();
                  }
                });
   return config_.checkpoint_interval;

@@ -12,7 +12,8 @@
 //                     one report per tick carrying samples, histograms,
 //                     trace summaries and the subscriber sketch.
 //   * checkpoint    — serialize AGW runtime state and ship it to the
-//                     orchestrator as the warm-standby image (§3.3).
+//                     orchestrator as the warm-standby image (§3.3) when it
+//                     differs from the last one the orchestrator acked.
 //   * events        — drain the gateway's structured-event buffer (attach
 //                     outcomes, WARN/ERROR logs) to the orchestrator's
 //                     eventd. Best-effort: a batch that fails in flight is
@@ -30,6 +31,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,10 +78,6 @@ struct MagmadStats {
   std::uint64_t config_full_syncs = 0;
   std::uint64_t config_delta_syncs = 0;
   std::uint64_t delta_entries_applied = 0;
-  // Full syncs whose version went *backwards* (orchestrator restarted with
-  // an older or rebuilt store). Accepted, not wedged: the orchestrator is
-  // the source of truth, stale-but-newer local state loses (§3.4).
-  std::uint64_t sync_regressions = 0;
   // Orchestrator epoch changes observed (each forces a full resync).
   std::uint64_t epoch_resyncs = 0;
   std::uint64_t checkins_ok = 0;
@@ -105,8 +103,8 @@ struct MagmadStats {
   std::uint64_t trace_summaries_shipped = 0;
   // Best-effort ticks that skipped shipping because the control channel was
   // already backlogged (see MagmadConfig::telemetry_backpressure). Events
-  // stay in their bounded buffer for the next tick; metrics/checkpoints are
-  // simply not snapshotted this round.
+  // stay in their bounded buffer for the next tick; metrics are simply not
+  // snapshotted this round, and a changed checkpoint ships on a later tick.
   std::uint64_t telemetry_sheds = 0;
 };
 
@@ -137,7 +135,7 @@ class Magmad {
   // Begin the periodic loops (idempotent).
   void start();
   // One immediate config sync (used at boot and by tests).
-  void sync_config_now(std::function<void(bool applied)> done = nullptr);
+  void sync_config_now();
 
   // Fault injection: a wedged magmad stops doing work on every periodic
   // tick (no checkins, no config polls, no telemetry) while the ticks keep
@@ -163,9 +161,10 @@ class Magmad {
   sim::Duration metrics_tick();
   sim::Duration checkpoint_tick();
   sim::Duration event_tick();
-  void handle_update(const orc8r::DesiredUpdate& update,
-                     const std::function<void(bool)>& done);
-  void apply(const orc8r::DesiredState& state);
+  void handle_update(const orc8r::DesiredUpdate& update);
+  // Counts and reports a failed sync; `forget_version` makes the next poll
+  // a full sync.
+  void fail_sync(const std::string& why, bool forget_version = false);
   // Per-entry upsert/remove. False: an entry blob failed to decode — the
   // sync is counted failed and synced state reset, forcing the next poll
   // onto the self-healing full path.
@@ -201,6 +200,10 @@ class Magmad {
   // carry only (bucket, trace id) pairs that changed since.
   std::map<std::string, std::vector<std::pair<std::uint32_t, std::uint64_t>>>
       last_shipped_exemplars_;
+
+  // The last checkpoint the orchestrator acknowledged; reset by a failed
+  // ship and by a new orchestrator epoch.
+  std::optional<common::Bytes> acked_checkpoint_;
 
   bool started_ = false;
   bool wedged_ = false;

@@ -43,7 +43,7 @@ common::Result<SessionRecord> SessionRecord::deserialize(
   s.quota_granted = r.u64();
   s.quota_reported = r.u64();
   s.quota_denied = r.boolean();
-  if (!r.ok()) {
+  if (!r.ok() || !r.at_end()) {
     return common::Error{common::ErrorCode::kInvalidArgument,
                          "corrupt session record"};
   }
@@ -355,7 +355,11 @@ common::Bytes Sessiond::checkpoint() const {
   return std::move(w).take();
 }
 
-common::Status Sessiond::restore(common::BytesView image) {
+common::Status Sessiond::restore(
+    common::BytesView image,
+    const std::function<common::Status(const SessionRecord&)>& admit) {
+  const common::Error corrupt{common::ErrorCode::kInvalidArgument,
+                              "corrupt sessiond checkpoint"};
   rpc::Reader r(image);
   const std::uint64_t next_id = r.u64();
   const std::uint64_t count = r.u64();
@@ -363,12 +367,15 @@ common::Status Sessiond::restore(common::BytesView image) {
   for (std::uint64_t i = 0; i < count; ++i) {
     auto session = SessionRecord::deserialize(r.bytes());
     if (!session.ok()) return session.error();
-    restored[session.value().imsi] = std::move(session).take();
+    if (admit) {
+      if (auto status = admit(session.value()); !status.ok()) return status;
+    }
+    const common::Imsi imsi = session.value().imsi;
+    if (!restored.emplace(imsi, std::move(session).take()).second) {
+      return corrupt;  // one session per subscriber
+    }
   }
-  if (!r.ok()) {
-    return common::Error{common::ErrorCode::kInvalidArgument,
-                         "corrupt sessiond checkpoint"};
-  }
+  if (!r.ok() || !r.at_end()) return corrupt;
 
   next_session_id_ = next_id;
   by_imsi_ = std::move(restored);
@@ -376,10 +383,8 @@ common::Status Sessiond::restore(common::BytesView image) {
   std::vector<SessionFlows> flows;
   flows.reserve(by_imsi_.size());
   for (auto& [_, session] : by_imsi_) {
-    // In-flight quota requests died with the failed instance. Data-plane
-    // counters start from zero on this instance, so the checkpointed usage
-    // becomes the counter base.
-    session.quota_request_inflight = false;
+    // Data-plane counters start from zero on this instance, so the
+    // checkpointed usage becomes the counter base.
     session.counter_base_bytes = session.used_bytes;
     flows.push_back(session.flows);
   }

@@ -150,9 +150,12 @@ class Sessiond {
   const SessiondStats& stats() const { return stats_; }
 
   // Checkpoint/restore of all session runtime state (§3.3). Restore also
-  // reprograms the data plane to match.
+  // reprograms the data plane; a corrupt image, or a session `admit`
+  // refuses, changes nothing.
   common::Bytes checkpoint() const;
-  common::Status restore(common::BytesView image);
+  common::Status restore(
+      common::BytesView image,
+      const std::function<common::Status(const SessionRecord&)>& admit = {});
 
  private:
   common::Result<common::SessionId> do_create_session(const CreateRequest& req);

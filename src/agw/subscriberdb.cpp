@@ -195,6 +195,24 @@ common::Status SubscriberDb::resync(const common::Imsi& imsi,
   return common::Status::Ok();
 }
 
+SubscriberDb::Sqns SubscriberDb::advanced_sqns() const {
+  Sqns out;
+  for (const auto& [imsi, sub] : subscribers_) {
+    if (sub.sqn > 0) out.emplace_back(imsi, sub.sqn);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void SubscriberDb::raise_sqns(const Sqns& sqns) {
+  for (const auto& [imsi, sqn] : sqns) {
+    auto it = subscribers_.find(imsi);
+    if (it != subscribers_.end()) {
+      it->second.sqn = std::max(it->second.sqn, sqn);
+    }
+  }
+}
+
 common::Bytes SubscriberDb::snapshot() const {
   rpc::Writer w;
   w.u64(subscribers_.size());

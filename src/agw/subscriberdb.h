@@ -22,6 +22,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -95,8 +96,15 @@ class SubscriberDb {
   // requests and errors.
   void set_status(obs::Service303* status) { status_ = status; }
 
-  // Serialize the full cache (for orchestrator→AGW sync payloads and AGW
-  // checkpoints).
+  // SQNs are this cache's runtime state, carried by the AGW checkpoint:
+  // (IMSI, SQN) for each sqn > 0, in IMSI order. raise_sqns() never rewinds
+  // one and drops IMSIs not cached.
+  using Sqns = std::vector<std::pair<common::Imsi, std::uint64_t>>;
+  Sqns advanced_sqns() const;
+  void raise_sqns(const Sqns& sqns);
+
+  // Serialize / load the full cache (FeG roaming: a home HSS hands its
+  // subscribers to a visited AGW; config sync uses orc8r::DesiredState).
   common::Bytes snapshot() const;
   common::Status restore(common::BytesView image);
 

@@ -136,10 +136,11 @@ TEST_F(AgwTest, ForwardedBytesDeltaResetsBetweenSnapshots) {
 }
 
 TEST_F(AgwTest, CheckpointRoundTripsThroughFreshInstance) {
-  // Populate some cached config + a session.
+  // Cached config + an advanced SQN + a session.
   SubscriberData sub;
   sub.imsi = common::Imsi::from_digits(1010000000042ULL);
   agw_.subscriberdb().upsert(sub);
+  ASSERT_TRUE(agw_.subscriberdb().generate_auth_vector(sub.imsi).ok());
   install_session(common::Ipv4{agw_.profile().ip_block.base.addr + 5});
 
   Sessiond::CreateRequest req;
@@ -154,12 +155,91 @@ TEST_F(AgwTest, CheckpointRoundTripsThroughFreshInstance) {
   const common::Bytes image = agw_.checkpoint();
   AccessGateway backup(kernel_, common::GatewayId{"gw-backup"},
                        virtual_xeon(2), sim::Rng(10));
+  // Config state comes from the desired-state sync, not the image: the
+  // backup syncs first (here: the replace_all a full sync performs), then
+  // restores runtime state on top.
+  backup.subscriberdb().replace_all({sub});
   ASSERT_TRUE(backup.restore(image).ok());
-  EXPECT_TRUE(backup.subscriberdb().get(sub.imsi).has_value());
+  EXPECT_EQ(backup.subscriberdb().get(sub.imsi)->sqn, 1u);
   EXPECT_EQ(backup.sessiond().active_sessions(), 1u);
   EXPECT_EQ(backup.mobilityd().lookup(sub.imsi).value(), req.ue_ip);
   // The backup adopted the failed instance's address block wholesale.
   EXPECT_EQ(backup.profile().ip_block.base, agw_.profile().ip_block.base);
+}
+
+TEST_F(AgwTest, CheckpointCarriesNoConfigState) {
+  SubscriberData sub;
+  sub.imsi = common::Imsi::from_digits(1010000000042ULL);
+  sub.k.fill(0xA5);
+  sub.opc.fill(0x5A);
+  sub.policy_name = "gold-policy-name";
+  sub.wifi_password = "wifi-password";
+  agw_.subscriberdb().upsert(sub);
+  core::Policy policy = core::rate_limited_policy(2'000'000, 1'000'000);
+  policy.name = "rate-policy-name";
+  agw_.policydb().upsert(policy);
+  const common::Bytes idle = agw_.checkpoint();
+  // Nothing advanced, no sessions: block + empty sessions + no SQNs.
+  EXPECT_LT(idle.size(), 64u);
+
+  ASSERT_TRUE(agw_.subscriberdb().generate_auth_vector(sub.imsi).ok());
+  const common::Bytes image = agw_.checkpoint();
+  const std::string text(image.begin(), image.end());
+  EXPECT_NE(text.find(sub.imsi.value), std::string::npos);  // its SQN
+  for (const std::string& config :
+       {sub.policy_name, sub.wifi_password, policy.name}) {
+    EXPECT_EQ(text.find(config), std::string::npos) << config;
+  }
+  const std::string key(sub.k.begin(), sub.k.end());
+  const std::string opc(sub.opc.begin(), sub.opc.end());
+  EXPECT_EQ(text.find(key), std::string::npos);
+  EXPECT_EQ(text.find(opc), std::string::npos);
+}
+
+// A session address that the backup's mobilityd cannot hold (outside the
+// block, or shared by two sessions) must reject the whole image: otherwise
+// pipelined forwards for an address mobilityd may hand out again.
+TEST_F(AgwTest, RestoreRejectsUnadoptableAddressesAndChangesNothing) {
+  const std::uint32_t base = agw_.profile().ip_block.base.addr;
+  auto image_with = [&](std::vector<common::Ipv4> addresses) {
+    AccessGateway origin(kernel_, common::GatewayId{"gw-origin"},
+                         virtual_xeon(2), sim::Rng(11));
+    for (std::size_t n = 0; n < addresses.size(); ++n) {
+      Sessiond::CreateRequest req;
+      req.imsi = common::Imsi::from_digits(1010000000100ULL + n);
+      req.ue_ip = addresses[n];
+      req.agw_teid_ul = common::Teid{static_cast<std::uint32_t>(0x40 + n)};
+      req.enb_teid_dl = common::Teid{static_cast<std::uint32_t>(0x50 + n)};
+      req.enb_address = common::Ipv4::from_octets(10, 100, 0, 1);
+      req.policy = core::unlimited_policy();
+      EXPECT_TRUE(origin.sessiond().create_session(req).ok());
+    }
+    return origin.checkpoint();
+  };
+  AccessGateway backup(kernel_, common::GatewayId{"gw-backup"},
+                       virtual_xeon(2), sim::Rng(10));
+  // The backup already serves a session of its own.
+  Sessiond::CreateRequest own;
+  own.imsi = common::Imsi::from_digits(1010000000007ULL);
+  own.ue_ip = backup.mobilityd().allocate(own.imsi, kernel_.now()).value();
+  own.policy = core::unlimited_policy();
+  ASSERT_TRUE(backup.sessiond().create_session(own).ok());
+  const common::Bytes before = backup.checkpoint();
+
+  const common::Ipv4 outside{base + (1u << 20)};
+  const common::Ipv4 inside{base + 9};
+  for (const common::Bytes& image :
+       {image_with({inside, outside}), image_with({inside, inside})}) {
+    EXPECT_FALSE(backup.restore(image).ok());
+    EXPECT_EQ(backup.checkpoint(), before);
+    EXPECT_EQ(backup.mobilityd().lookup(own.imsi), own.ue_ip);
+    EXPECT_EQ(backup.mobilityd().allocated(), 1u);
+    EXPECT_EQ(backup.pipelined().session_count(), 1u);
+  }
+  // The same sessions at distinct in-block addresses restore fine.
+  EXPECT_TRUE(backup.restore(image_with({inside, common::Ipv4{base + 10}}))
+                  .ok());
+  EXPECT_EQ(backup.mobilityd().allocated(), 2u);
 }
 
 TEST_F(AgwTest, RestoreGarbageFailsCleanly) {

@@ -81,8 +81,13 @@ TEST_F(FaultTest, BackupAgwResumesFromShippedCheckpoint) {
   const auto image = net_->orchestrator().stored_checkpoint("gw0");
   ASSERT_TRUE(image.has_value());
 
-  // Bring up a brand-new AGW from the image (the "backup cloud instance").
+  // Bring up a brand-new AGW (the "backup cloud instance"). Its first
+  // desired-state sync brings back subscribers and policies; the image then
+  // brings back sessions, addresses and the advanced SQN.
   agw::AccessGateway& backup = net_->add_agw(agw::virtual_xeon(4));
+  net_->sync_all_config();
+  ASSERT_EQ(backup.magmad().synced_version(),
+            net_->orchestrator().config_version());
   ASSERT_TRUE(backup.restore(*image).ok());
 
   // The session exists on the backup with its usage intact, the subscriber
@@ -91,7 +96,9 @@ TEST_F(FaultTest, BackupAgwResumesFromShippedCheckpoint) {
       backup.sessiond().find(ue.usim().imsi());
   ASSERT_NE(session, nullptr);
   EXPECT_GE(session->used_bytes, used);
-  EXPECT_TRUE(backup.subscriberdb().get(ue.usim().imsi()).has_value());
+  const auto sub = backup.subscriberdb().get(ue.usim().imsi());
+  ASSERT_TRUE(sub.has_value());
+  EXPECT_EQ(sub->sqn, agw0_->subscriberdb().get(ue.usim().imsi())->sqn);
   EXPECT_EQ(backup.mobilityd().lookup(ue.usim().imsi()).value(), *ue.ip());
 
   datapath::PacketBatch batch;
@@ -110,10 +117,84 @@ TEST_F(FaultTest, RestoredStateIsByteIdenticalOnRecheckpoint) {
   const common::Bytes image = agw0_->checkpoint();
 
   agw::AccessGateway& backup = net_->add_agw(agw::virtual_xeon(2));
+  net_->sync_all_config();  // the SQNs land on synced subscribers
   ASSERT_TRUE(backup.restore(image).ok());
   // Checkpoint of the restored instance equals the original image
   // (checkpointing is a pure function of the state it captures).
   EXPECT_EQ(backup.checkpoint(), image);
+}
+
+// A checkpoint is runtime state only: restoring one taken under an older
+// config version onto a backup that has already synced must not roll its
+// subscribers or policies back — neither at once nor on later polls.
+TEST_F(FaultTest, RestoreAfterSyncKeepsCurrentConfig) {
+  ran::UeLte& ue = attach_ue(*enb0_);
+  const agw::SubscriberData removed = net_->provision_subscriber();
+  core::Policy policy = core::rate_limited_policy(2'000'000, 1'000'000);
+  net_->orchestrator().add_policy(policy);
+  net_->sync_all_config();
+  ASSERT_TRUE(agw0_->subscriberdb().get(removed.imsi).has_value());
+  const common::Bytes image = agw0_->checkpoint();
+
+  // Config moves on after the checkpoint.
+  net_->orchestrator().remove_subscriber(removed.imsi);
+  policy.tiers[0].dl_rate_bps = 5'000'000;
+  net_->orchestrator().add_policy(policy);
+
+  agw::AccessGateway& backup = net_->add_agw(agw::virtual_xeon(2));
+  net_->sync_all_config();
+  ASSERT_TRUE(backup.restore(image).ok());
+  const auto current = [&]() {
+    return !backup.subscriberdb().get(removed.imsi).has_value() &&
+           backup.policydb().get(policy.name) == policy &&
+           backup.subscriberdb().get(ue.usim().imsi()).has_value();
+  };
+  EXPECT_TRUE(current());
+  EXPECT_NE(backup.sessiond().find(ue.usim().imsi()), nullptr);
+
+  backup.magmad().sync_config_now();
+  net_->run_for(3 * sim::kSecond);
+  EXPECT_TRUE(current());
+}
+
+// A backup that has synced and restored cannot be told apart from the
+// original: same subscriberdb (SQNs included), policydb, sessions and
+// address bindings.
+TEST_F(FaultTest, SyncedAndRestoredBackupMatchesOriginal) {
+  net_->orchestrator().add_policy(core::tiered_policy(10'000'000, 1 << 20,
+                                                      1'000'000));
+  ran::UeLte& ue0 = attach_ue(*enb0_);
+  ran::UeLte& ue1 = attach_ue(*enb0_);
+  net_->inject_downlink(*agw0_, *ue0.ip(), 1400, 20);
+  net_->run_for(1 * sim::kSecond);
+  agw0_->sessiond().poll_usage();
+
+  agw::AccessGateway& backup = net_->add_agw(agw::virtual_xeon(2));
+  net_->sync_all_config();
+  ASSERT_TRUE(backup.restore(agw0_->checkpoint()).ok());
+
+  agw::SubscriberDb& want = agw0_->subscriberdb();
+  agw::SubscriberDb& have = backup.subscriberdb();
+  ASSERT_EQ(have.all_imsis(), want.all_imsis());
+  for (const common::Imsi& imsi : want.all_imsis()) {
+    EXPECT_EQ(have.get(imsi), want.get(imsi)) << imsi.value;
+  }
+  EXPECT_GT(want.get(ue0.usim().imsi())->sqn, 0u);
+
+  EXPECT_EQ(backup.policydb().size(), agw0_->policydb().size());
+  for (const std::string& name :
+       {core::unlimited_policy().name, core::tiered_policy(1, 1, 1).name}) {
+    ASSERT_TRUE(agw0_->policydb().get(name).has_value()) << name;
+    EXPECT_EQ(backup.policydb().get(name), agw0_->policydb().get(name));
+  }
+
+  EXPECT_EQ(backup.sessiond().checkpoint(), agw0_->sessiond().checkpoint());
+  EXPECT_EQ(backup.mobilityd().allocated(), agw0_->mobilityd().allocated());
+  for (const ran::UeLte* ue : {&ue0, &ue1}) {
+    EXPECT_EQ(backup.mobilityd().lookup(ue->usim().imsi()), ue->ip());
+    EXPECT_EQ(backup.mobilityd().lookup(ue->usim().imsi()),
+              agw0_->mobilityd().lookup(ue->usim().imsi()));
+  }
 }
 
 TEST_F(FaultTest, RestoreRejectsCorruptImage) {

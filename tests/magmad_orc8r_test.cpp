@@ -172,19 +172,17 @@ TEST_F(MagmadTest, ConfigSyncAppliesSubscribersAndPolicies) {
   orc8r_.add_subscriber(subscriber(1, "gold"));
   orc8r_.add_policy(core::rate_limited_policy(2e6, 1e6));
 
-  bool applied = false;
-  magmad_.sync_config_now([&](bool a) { applied = a; });
+  magmad_.sync_config_now();
   kernel_.run_until(5 * sim::kSecond);
-  EXPECT_TRUE(applied);
+  EXPECT_EQ(magmad_.stats().config_syncs_applied, 1u);
   EXPECT_TRUE(subscribers_.get(imsi(1)).has_value());
   EXPECT_TRUE(policies_.get("rate_limited").has_value());
   EXPECT_EQ(magmad_.synced_version(), orc8r_.config_version());
 
   // Second sync with no changes is a no-op.
-  bool applied_again = true;
-  magmad_.sync_config_now([&](bool a) { applied_again = a; });
+  magmad_.sync_config_now();
   kernel_.run_until(10 * sim::kSecond);
-  EXPECT_FALSE(applied_again);
+  EXPECT_EQ(magmad_.stats().config_syncs_applied, 1u);
   EXPECT_EQ(magmad_.stats().config_polls_noop, 1u);
 }
 
@@ -223,10 +221,9 @@ TEST_F(MagmadTest, ConvergesAfterOrchestratorRestartWithOlderStore) {
   ASSERT_NE(replacement.epoch(), old_epoch);
   replacement.bind(server_node_);  // re-registration replaces the handlers
 
-  bool applied = false;
-  magmad_.sync_config_now([&](bool a) { applied = a; });
+  magmad_.sync_config_now();
   kernel_.run_until(10 * sim::kSecond);
-  EXPECT_TRUE(applied);
+  EXPECT_EQ(magmad_.stats().config_full_syncs, 2u);
   // Converged backwards onto the replacement's (smaller) desired state.
   EXPECT_EQ(subscribers_.size(), 1u);
   EXPECT_TRUE(subscribers_.get(imsi(100)).has_value());
@@ -244,10 +241,9 @@ TEST_F(MagmadTest, ConvergesAfterOrchestratorRestartWithOlderStore) {
 TEST_F(MagmadTest, SyncFailsGracefullyWhenDisconnected) {
   link_.forward.set_up(false);
   link_.reverse.set_up(false);
-  bool applied = true;
-  magmad_.sync_config_now([&](bool a) { applied = a; });
+  magmad_.sync_config_now();
   kernel_.run_until(30 * sim::kSecond);
-  EXPECT_FALSE(applied);
+  EXPECT_EQ(magmad_.stats().config_syncs_applied, 0u);
   EXPECT_GE(magmad_.stats().sync_failures, 1u);
   EXPECT_FALSE(magmad_.orchestrator_reachable());
 }
@@ -262,7 +258,8 @@ TEST_F(MagmadTest, PeriodicLoopsShipEverything) {
   EXPECT_GE(magmad_.stats().config_syncs_applied, 1u);
   EXPECT_GE(magmad_.stats().checkins_ok, 2u);
   EXPECT_GE(magmad_.stats().metric_reports_sent, 2u);
-  EXPECT_GE(magmad_.stats().checkpoints_shipped, 2u);
+  // The payload never changes: one acknowledged image is enough.
+  EXPECT_EQ(magmad_.stats().checkpoints_shipped, 1u);
 
   // Orchestrator side saw all of it.
   EXPECT_GE(orc8r_.stats().checkins, 2u);
@@ -271,6 +268,59 @@ TEST_F(MagmadTest, PeriodicLoopsShipEverything) {
   EXPECT_EQ(orc8r_.stored_checkpoint("gw0").value(),
             common::to_bytes("ckpt"));
   EXPECT_GT(orc8r_.metrics().total_samples(), 0u);
+}
+
+TEST_F(MagmadTest, UnchangedCheckpointIsNotReshipped) {
+  magmad_.start();
+  kernel_.run_until(3 * sim::kMinute);
+  EXPECT_EQ(magmad_.stats().checkpoints_shipped, 1u);
+  EXPECT_EQ(orc8r_.stats().checkpoints_stored, 1u);
+
+  checkpoint_payload_ = common::to_bytes("ckpt-changed");
+  kernel_.run_until(4 * sim::kMinute + sim::kSecond);
+  EXPECT_EQ(magmad_.stats().checkpoints_shipped, 2u);
+  EXPECT_EQ(orc8r_.stored_checkpoint("gw0").value(), checkpoint_payload_);
+}
+
+TEST_F(MagmadTest, FailedCheckpointShipIsRetriedNextTick) {
+  const common::Bytes first = checkpoint_payload_;
+  magmad_.start();
+  kernel_.run_until(30 * sim::kSecond);
+  ASSERT_EQ(magmad_.stats().checkpoints_shipped, 1u);
+
+  // A changed image fails in flight (backhaul down past the deadline)...
+  checkpoint_payload_ = common::to_bytes("ckpt-lost");
+  link_.forward.set_up(false);
+  link_.reverse.set_up(false);
+  kernel_.run_until(90 * sim::kSecond);
+  EXPECT_EQ(magmad_.stats().checkpoint_failures, 1u);
+
+  // ...and the failure forgets the acknowledged image: the orchestrator may
+  // hold the lost one, so even the first image, unchanged since its ack,
+  // ships again on the next tick.
+  link_.forward.set_up(true);
+  link_.reverse.set_up(true);
+  checkpoint_payload_ = first;
+  kernel_.run_until(2 * sim::kMinute + 5 * sim::kSecond);
+  EXPECT_EQ(magmad_.stats().checkpoints_shipped, 2u);
+  EXPECT_EQ(orc8r_.stored_checkpoint("gw0").value(), first);
+}
+
+TEST_F(MagmadTest, ReplacedOrchestratorGetsTheUnchangedCheckpointAgain) {
+  orc8r_.add_subscriber(subscriber(1, "old"));
+  magmad_.start();
+  kernel_.run_until(30 * sim::kSecond);
+  ASSERT_EQ(magmad_.stats().checkpoints_shipped, 1u);
+
+  // Replaced as in ConvergesAfterOrchestratorRestartWithOlderStore: the new
+  // instance has an empty checkpoint map.
+  orc8r::Orchestrator replacement(kernel_);
+  replacement.bind(server_node_);
+  magmad_.sync_config_now();
+  kernel_.run_until(65 * sim::kSecond);
+  EXPECT_EQ(magmad_.stats().epoch_resyncs, 1u);
+  EXPECT_EQ(magmad_.stats().checkpoints_shipped, 2u);
+  EXPECT_EQ(replacement.stored_checkpoint("gw0").value(), checkpoint_payload_);
 }
 
 // --- Health plane + histogram delta shipping ---------------------------------

@@ -175,6 +175,36 @@ TEST_F(SessiondTest, RestoreRejectsCorruptImage) {
   EXPECT_FALSE(restored.restore(common::to_bytes("garbage")).ok());
 }
 
+TEST_F(SessiondTest, RestoreIsAllOrNothing) {
+  ASSERT_TRUE(sessiond_.create_session(request(1, core::unlimited_policy())).ok());
+  ASSERT_TRUE(sessiond_.create_session(request(2, core::unlimited_policy())).ok());
+  const common::Bytes image = sessiond_.checkpoint();
+
+  Pipelined pipelined2;
+  Sessiond restored(kernel_, pipelined2, nullptr);
+  ASSERT_TRUE(restored.create_session(request(7, core::unlimited_policy())).ok());
+  const common::Bytes before = restored.checkpoint();
+  // A session the caller refuses rejects the whole image...
+  const common::Status refused =
+      restored.restore(image, [](const SessionRecord& session) {
+        return session.imsi == imsi(2)
+                   ? common::Status(common::ErrorCode::kAlreadyExists,
+                                    "refused")
+                   : common::Status::Ok();
+      });
+  EXPECT_FALSE(refused.ok());
+  // ...as do trailing bytes; neither touches sessiond or the data plane.
+  common::Bytes trailing = image;
+  trailing.push_back(0);
+  EXPECT_FALSE(restored.restore(trailing).ok());
+  EXPECT_EQ(restored.checkpoint(), before);
+  EXPECT_EQ(pipelined2.session_count(), 1u);
+
+  ASSERT_TRUE(restored.restore(image).ok());
+  EXPECT_EQ(restored.checkpoint(), image);
+  EXPECT_EQ(pipelined2.session_count(), 2u);
+}
+
 TEST_F(SessiondTest, UpdateBearerRetargetsDownlink) {
   ASSERT_TRUE(sessiond_.create_session(request(1, core::unlimited_policy())).ok());
   const common::Teid new_teid{0x999};
