@@ -144,9 +144,25 @@ void BM_Sha256_1KiB(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256_1KiB);
 
-void BM_NasMac(benchmark::State& state) {
+// One-shot HMAC: derives the pad midstates from the raw key every call, as
+// the KDF does (each KDF call is one such MAC under a fresh key).
+void BM_HmacSha256(benchmark::State& state) {
   crypto::Key256 key{};
   key[0] = 9;
+  const common::Bytes msg(64, 0x42);
+  for (auto _ : state) {
+    auto digest = crypto::hmac_sha256(key, msg);
+    benchmark::DoNotOptimize(digest);
+  }
+}
+BENCHMARK(BM_HmacSha256);
+
+// Keyed NAS MAC: K_NASint's midstates are built once per security context,
+// so a MAC hashes only COUNT||msg plus the outer block.
+void BM_NasMac(benchmark::State& state) {
+  crypto::Key256 raw{};
+  raw[0] = 9;
+  const crypto::HmacKey key(raw);
   const common::Bytes msg(64, 0x42);
   std::uint32_t count = 0;
   for (auto _ : state) {

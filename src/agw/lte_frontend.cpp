@@ -403,8 +403,8 @@ void LteFrontend::handle_nas(UeCtx& ue, const lte::NasMessage& nas) {
             return;
           }
           ue->kasme = keys.value().kasme;
-          ue->k_nas_int =
-              crypto::derive_k_nas_int(ue->kasme, crypto::NasAlgorithm::kEia2);
+          ue->k_nas_int = crypto::HmacKey(
+              crypto::derive_k_nas_int(ue->kasme, crypto::NasAlgorithm::kEia2));
           ue->k_nas_enc =
               crypto::derive_k_nas_enc(ue->kasme, crypto::NasAlgorithm::kEea2);
           lte::SecurityModeCommand smc;

@@ -81,7 +81,7 @@ class LteFrontend {
     std::uint32_t enb_ue_id = 0;
     std::uint32_t mme_ue_id = 0;
     crypto::Key256 kasme{};
-    crypto::Key256 k_nas_int{};
+    crypto::HmacKey k_nas_int;
     bool security_active = false;
     bool idle = false;  // ECM-IDLE: context kept, no radio association
     std::uint32_t dl_count = 0;
@@ -90,7 +90,7 @@ class LteFrontend {
     // per-direction counters keyed to ciphered messages only. The
     // SecurityModeComplete itself is sent unciphered in this model (it
     // activates ciphering on both sides).
-    crypto::Key256 k_nas_enc{};
+    crypto::Key128 k_nas_enc{};
     std::uint32_t dl_cipher_count = 0;
     std::uint32_t ul_cipher_count = 0;
     std::uint32_t m_tmsi = 0;

@@ -186,9 +186,8 @@ void NrFrontend::handle_nas(UeCtx& ue, const nr::Nas5gMessage& nas) {
             reject_registration(*ue, cause_from_error(keys.error()));
             return;
           }
-          ue->kasme = keys.value().kasme;
-          ue->k_nas_int =
-              crypto::derive_k_nas_int(ue->kasme, crypto::NasAlgorithm::kEia2);
+          ue->k_nas_int = crypto::HmacKey(crypto::derive_k_nas_int(
+              keys.value().kasme, crypto::NasAlgorithm::kEia2));
           nr::SecurityModeCommand5g smc;
           smc.mac = compute_mac(*ue, ue->dl_count, nr::Nas5gMessage{smc});
           ++ue->dl_count;

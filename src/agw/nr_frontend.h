@@ -55,8 +55,7 @@ class NrFrontend {
     GnbConn* conn = nullptr;
     std::uint32_t ran_ue_id = 0;
     std::uint32_t amf_ue_id = 0;
-    crypto::Key256 kasme{};  // plays the role of KAMF
-    crypto::Key256 k_nas_int{};
+    crypto::HmacKey k_nas_int;  // derived from KAMF (SecurityKeys::kasme)
     bool registered = false;
     std::uint32_t dl_count = 0;
     std::uint32_t ul_count = 0;

@@ -1,5 +1,7 @@
 #include "crypto/aes128.h"
 
+#include <cstddef>
+
 namespace magma::crypto {
 
 namespace {
@@ -31,8 +33,64 @@ constexpr std::uint8_t kSbox[256] = {
 constexpr std::uint8_t kRcon[10] = {0x01, 0x02, 0x04, 0x08, 0x10,
                                     0x20, 0x40, 0x80, 0x1b, 0x36};
 
-std::uint8_t xtime(std::uint8_t x) {
+constexpr std::uint8_t xtime(std::uint8_t x) {
   return static_cast<std::uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
+}
+
+constexpr std::uint32_t rotr8(std::uint32_t x) { return (x >> 8) | (x << 24); }
+
+// T-tables: Te[k][x] is the MixColumns column that S-box output S[x] in
+// row k contributes, packed big-endian (row 0 in the top byte). One round
+// of SubBytes + ShiftRows + MixColumns is then four lookups and XORs per
+// output column. Te[k] is Te[0] rotated right by 8k bits.
+using TTables = std::array<std::array<std::uint32_t, 256>, 4>;
+
+constexpr TTables make_t_tables() {
+  TTables te{};
+  for (std::size_t x = 0; x < 256; ++x) {
+    const std::uint8_t s = kSbox[x];
+    const std::uint8_t s2 = xtime(s);
+    const std::uint8_t s3 = static_cast<std::uint8_t>(s2 ^ s);
+    std::uint32_t t = (std::uint32_t(s2) << 24) | (std::uint32_t(s) << 16) |
+                      (std::uint32_t(s) << 8) | std::uint32_t(s3);
+    for (std::size_t k = 0; k < 4; ++k) {
+      te[k][x] = t;
+      t = rotr8(t);
+    }
+  }
+  return te;
+}
+
+constexpr TTables kTe = make_t_tables();
+
+std::uint32_t load_be(const std::uint8_t* p) {
+  return (std::uint32_t(p[0]) << 24) | (std::uint32_t(p[1]) << 16) |
+         (std::uint32_t(p[2]) << 8) | std::uint32_t(p[3]);
+}
+
+void store_be(std::uint32_t w, std::uint8_t* p) {
+  p[0] = static_cast<std::uint8_t>(w >> 24);
+  p[1] = static_cast<std::uint8_t>(w >> 16);
+  p[2] = static_cast<std::uint8_t>(w >> 8);
+  p[3] = static_cast<std::uint8_t>(w);
+}
+
+// Output column of a full round: ShiftRows takes row k from column
+// (c + k) mod 4, which the caller passes as a, b, c, d.
+std::uint32_t round_column(std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                           std::uint32_t d, std::uint32_t round_key) {
+  return kTe[0][a >> 24] ^ kTe[1][(b >> 16) & 0xFF] ^
+         kTe[2][(c >> 8) & 0xFF] ^ kTe[3][d & 0xFF] ^ round_key;
+}
+
+// Output column of the last round: SubBytes + ShiftRows, no MixColumns.
+std::uint32_t final_column(std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                           std::uint32_t d, std::uint32_t round_key) {
+  return ((std::uint32_t(kSbox[a >> 24]) << 24) |
+          (std::uint32_t(kSbox[(b >> 16) & 0xFF]) << 16) |
+          (std::uint32_t(kSbox[(c >> 8) & 0xFF]) << 8) |
+          std::uint32_t(kSbox[d & 0xFF])) ^
+         round_key;
 }
 
 }  // namespace
@@ -59,49 +117,30 @@ Aes128::Aes128(const Key128& key) {
 }
 
 Block Aes128::encrypt(const Block& plaintext) const {
-  Block s = plaintext;
-  auto add_round_key = [&](int round) {
-    for (int i = 0; i < 16; ++i) {
-      s[static_cast<std::size_t>(i)] ^=
-          round_keys_[static_cast<std::size_t>(round * 16 + i)];
-    }
-  };
-  auto sub_bytes = [&]() {
-    for (auto& b : s) b = kSbox[b];
-  };
-  auto shift_rows = [&]() {
-    // State is column-major: s[c*4 + r].
-    Block t = s;
-    for (int r = 1; r < 4; ++r) {
-      for (int c = 0; c < 4; ++c) {
-        s[static_cast<std::size_t>(c * 4 + r)] =
-            t[static_cast<std::size_t>(((c + r) % 4) * 4 + r)];
-      }
-    }
-  };
-  auto mix_columns = [&]() {
-    for (int c = 0; c < 4; ++c) {
-      std::uint8_t* col = &s[static_cast<std::size_t>(c * 4)];
-      const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-      const std::uint8_t all = a0 ^ a1 ^ a2 ^ a3;
-      col[0] = static_cast<std::uint8_t>(a0 ^ all ^ xtime(a0 ^ a1));
-      col[1] = static_cast<std::uint8_t>(a1 ^ all ^ xtime(a1 ^ a2));
-      col[2] = static_cast<std::uint8_t>(a2 ^ all ^ xtime(a2 ^ a3));
-      col[3] = static_cast<std::uint8_t>(a3 ^ all ^ xtime(a3 ^ a0));
-    }
-  };
-
-  add_round_key(0);
+  // State as four big-endian column words (the state is column-major).
+  const std::uint8_t* rk = round_keys_.data();
+  std::uint32_t s0 = load_be(plaintext.data()) ^ load_be(rk);
+  std::uint32_t s1 = load_be(plaintext.data() + 4) ^ load_be(rk + 4);
+  std::uint32_t s2 = load_be(plaintext.data() + 8) ^ load_be(rk + 8);
+  std::uint32_t s3 = load_be(plaintext.data() + 12) ^ load_be(rk + 12);
   for (int round = 1; round <= 9; ++round) {
-    sub_bytes();
-    shift_rows();
-    mix_columns();
-    add_round_key(round);
+    rk += 16;
+    const std::uint32_t t0 = round_column(s0, s1, s2, s3, load_be(rk));
+    const std::uint32_t t1 = round_column(s1, s2, s3, s0, load_be(rk + 4));
+    const std::uint32_t t2 = round_column(s2, s3, s0, s1, load_be(rk + 8));
+    const std::uint32_t t3 = round_column(s3, s0, s1, s2, load_be(rk + 12));
+    s0 = t0;
+    s1 = t1;
+    s2 = t2;
+    s3 = t3;
   }
-  sub_bytes();
-  shift_rows();
-  add_round_key(10);
-  return s;
+  rk += 16;
+  Block out;
+  store_be(final_column(s0, s1, s2, s3, load_be(rk)), out.data());
+  store_be(final_column(s1, s2, s3, s0, load_be(rk + 4)), out.data() + 4);
+  store_be(final_column(s2, s3, s0, s1, load_be(rk + 8)), out.data() + 8);
+  store_be(final_column(s3, s0, s1, s2, load_be(rk + 12)), out.data() + 12);
+  return out;
 }
 
 }  // namespace magma::crypto

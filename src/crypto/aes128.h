@@ -1,10 +1,13 @@
 // AES-128 block cipher (FIPS-197), encryption direction only.
 //
 // Milenage (the 3GPP authentication algorithm set burned into every USIM)
-// is built exclusively from AES-128 encryptions, so decryption is not
-// needed. This is a straightforward table-free implementation: it favors
-// clarity and constant code size over throughput, which is ample for
-// control-plane use (a handful of blocks per attach).
+// is built exclusively from AES-128 encryptions, and the NAS cipher runs
+// AES in counter mode, so decryption is not needed. Every attach runs
+// Milenage on both the UE emulator and the AGW and every ciphered NAS
+// message adds a few blocks, so encrypt() is on the emulator's hot path:
+// it uses the classic 32-bit T-table formulation (four 1 KiB tables built
+// at compile time from the S-box). Portable C++ only: no AES-NI, no
+// runtime dispatch, one code path on every host.
 #pragma once
 
 #include <array>

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "crypto/aes128.h"
+#include "obs/host_profiler.h"
 
 namespace magma::crypto {
 
@@ -41,8 +41,11 @@ Key256 derive_alg_key(const Key256& kasme, std::uint8_t distinguisher,
 }
 }  // namespace
 
-Key256 derive_k_nas_enc(const Key256& kasme, NasAlgorithm alg) {
-  return derive_alg_key(kasme, 0x01, alg);
+Key128 derive_k_nas_enc(const Key256& kasme, NasAlgorithm alg) {
+  const Key256 full = derive_alg_key(kasme, 0x01, alg);
+  Key128 key;
+  std::memcpy(key.data(), full.data(), key.size());
+  return key;
 }
 
 Key256 derive_k_nas_int(const Key256& kasme, NasAlgorithm alg) {
@@ -61,11 +64,10 @@ Key256 derive_k_enb(const Key256& kasme, std::uint32_t nas_count) {
   return to_key(kdf(kasme, input));
 }
 
-common::Bytes nas_cipher(const Key256& k_nas_enc, std::uint32_t count,
+common::Bytes nas_cipher(const Key128& k_nas_enc, std::uint32_t count,
                          bool downlink, common::BytesView data) {
-  Key128 key;
-  std::memcpy(key.data(), k_nas_enc.data(), key.size());
-  const Aes128 aes(key);
+  MAGMA_HOST_SCOPE("crypto", "nas_cipher");
+  const Aes128 aes(k_nas_enc);
 
   // IV block: COUNT (4B) || BEARER/DIRECTION byte || zero, per-block
   // counter in the trailing 4 bytes (CTR mode).
@@ -94,16 +96,19 @@ common::Bytes nas_cipher(const Key256& k_nas_enc, std::uint32_t count,
   return out;
 }
 
-std::uint32_t nas_mac(const Key256& k_nas_int, std::uint32_t count,
+std::uint32_t nas_mac(const HmacKey& k_nas_int, std::uint32_t count,
                       common::BytesView message) {
-  common::Bytes data;
-  data.reserve(4 + message.size());
-  data.push_back(static_cast<std::uint8_t>(count >> 24));
-  data.push_back(static_cast<std::uint8_t>(count >> 16));
-  data.push_back(static_cast<std::uint8_t>(count >> 8));
-  data.push_back(static_cast<std::uint8_t>(count));
-  data.insert(data.end(), message.begin(), message.end());
-  const Digest256 d = hmac_sha256(k_nas_int, data);
+  MAGMA_HOST_SCOPE("crypto", "nas_mac");
+  const std::uint8_t count_be[4] = {
+      static_cast<std::uint8_t>(count >> 24),
+      static_cast<std::uint8_t>(count >> 16),
+      static_cast<std::uint8_t>(count >> 8),
+      static_cast<std::uint8_t>(count),
+  };
+  Sha256 inner = k_nas_int.begin();
+  inner.update(count_be);
+  inner.update(message);
+  const Digest256 d = k_nas_int.finish(inner);
   return (std::uint32_t(d[0]) << 24) | (std::uint32_t(d[1]) << 16) |
          (std::uint32_t(d[2]) << 8) | std::uint32_t(d[3]);
 }

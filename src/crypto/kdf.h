@@ -13,6 +13,7 @@
 #include <string>
 
 #include "common/bytes.h"
+#include "crypto/aes128.h"
 #include "crypto/hmac.h"
 
 namespace magma::crypto {
@@ -37,23 +38,26 @@ enum class NasAlgorithm : std::uint8_t {
   kEia2 = 2,  // AES-based integrity (same id, different distinguisher)
 };
 
-// K_NASenc = KDF(KASME, FC=0x15, P0=0x01 (NAS-enc-alg), P1=alg id).
-Key256 derive_k_nas_enc(const Key256& kasme, NasAlgorithm alg);
+// K_NASenc = KDF(KASME, FC=0x15, P0=0x01 (NAS-enc-alg), P1=alg id),
+// truncated to the 128 bits that key EEA2's AES (the first half of the
+// KDF output in this model).
+Key128 derive_k_nas_enc(const Key256& kasme, NasAlgorithm alg);
 // K_NASint = KDF(KASME, FC=0x15, P0=0x02 (NAS-int-alg), P1=alg id).
 Key256 derive_k_nas_int(const Key256& kasme, NasAlgorithm alg);
 // K_eNB = KDF(KASME, FC=0x11, P0 = uplink NAS count).
 Key256 derive_k_enb(const Key256& kasme, std::uint32_t nas_count);
 
 // NAS message MAC: 4-byte truncation of HMAC-SHA256(K_NASint, count||msg),
-// standing in for 128-EIA2's CMAC (same shape: keyed 32-bit MAC).
-std::uint32_t nas_mac(const Key256& k_nas_int, std::uint32_t count,
+// standing in for 128-EIA2's CMAC (same shape: keyed 32-bit MAC). The key
+// is an HmacKey built once per security context (HmacKey(derive_k_nas_int
+// (...))), so each MAC hashes only COUNT||msg and the outer block.
+std::uint32_t nas_mac(const HmacKey& k_nas_int, std::uint32_t count,
                       common::BytesView message);
 
-// NAS ciphering, 128-EEA2 shape: AES-128 in counter mode keyed by the first
-// half of K_NASenc, with the keystream IV built from the NAS COUNT and the
-// direction bit (TS 33.401 B.1.2). XOR-symmetric: the same call encrypts
-// and decrypts.
-common::Bytes nas_cipher(const Key256& k_nas_enc, std::uint32_t count,
+// NAS ciphering, 128-EEA2 shape: AES-128 in counter mode keyed by K_NASenc,
+// with the keystream IV built from the NAS COUNT and the direction bit
+// (TS 33.401 B.1.2). XOR-symmetric: the same call encrypts and decrypts.
+common::Bytes nas_cipher(const Key128& k_nas_enc, std::uint32_t count,
                          bool downlink, common::BytesView data);
 
 }  // namespace magma::crypto

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "obs/host_profiler.h"
+
 namespace magma::crypto {
 
 namespace {
@@ -38,6 +40,7 @@ Milenage Milenage::from_opc(const Key128& k, const Key128& opc) {
 MilenageOutput Milenage::compute(const std::array<std::uint8_t, 16>& rand,
                                  const std::array<std::uint8_t, 6>& sqn,
                                  const std::array<std::uint8_t, 2>& amf) const {
+  MAGMA_HOST_SCOPE("crypto", "milenage");
   MilenageOutput out;
 
   const Block temp = cipher_.encrypt(xor_blocks(rand, opc_));

@@ -30,6 +30,9 @@ Sha256::Sha256()
     : h_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
          0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
 
+Sha256::Sha256(const Sha256State& state, std::uint64_t bytes_hashed)
+    : h_(state), total_bytes_(bytes_hashed) {}
+
 void Sha256::process_block(const std::uint8_t* p) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
@@ -72,6 +75,8 @@ void Sha256::process_block(const std::uint8_t* p) {
 }
 
 void Sha256::update(common::BytesView data) {
+  // An empty span may carry a null data(); memcpy must never see it.
+  if (data.empty()) return;
   total_bytes_ += data.size();
   std::size_t offset = 0;
   if (buffered_ > 0) {
@@ -96,16 +101,24 @@ void Sha256::update(common::BytesView data) {
 }
 
 Digest256 Sha256::finish() {
+  // Padding (FIPS 180-4 §5.1.1): 0x80, zeros up to 56 mod 64, then the
+  // 64-bit big-endian bit length. update() never leaves a full buffer, so
+  // the 0x80 always fits; the length spills into a second block when fewer
+  // than 8 bytes remain after it.
   const std::uint64_t bit_len = total_bytes_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(common::BytesView(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(common::BytesView(&zero, 1));
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, 64 - buffered_);
+    process_block(buffer_.data());
+    buffered_ = 0;
   }
-  update(common::BytesView(len_be, 8));
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[static_cast<std::size_t>(56 + i)] =
+        static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  process_block(buffer_.data());
+  buffered_ = 0;
   Digest256 out;
   for (int i = 0; i < 8; ++i) {
     out[static_cast<std::size_t>(i * 4)] = static_cast<std::uint8_t>(h_[i] >> 24);

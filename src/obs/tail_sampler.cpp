@@ -135,10 +135,38 @@ void TailSampler::on_finish(const SpanRecord& span) {
 }
 
 void TailSampler::close_current_window() {
+  // One pass over the finished ring finds the spans of every kept trace (a
+  // per-trace Tracer::trace_spans would rescan the whole ring each time).
+  // Only pointers are gathered, grouped by trace with ring order kept
+  // inside a group: the ring does not change while the window closes.
+  std::vector<std::uint64_t> ids;
+  for (const auto& [op, keeps] : kept_) {
+    for (const Kept& k : keeps) ids.push_back(k.trace_id);
+  }
+  std::ranges::sort(ids);
+  std::vector<const SpanRecord*> found;
+  if (!ids.empty()) {
+    for (const SpanRecord& span : tracer_.finished()) {
+      if (std::ranges::binary_search(ids, span.trace_id)) {
+        found.push_back(&span);
+      }
+    }
+  }
+  const auto trace_of = [](const SpanRecord* span) { return span->trace_id; };
+  std::ranges::stable_sort(found, {}, trace_of);
+
   for (auto& [op, keeps] : kept_) {
     for (const Kept& k : keeps) {
       TraceSummary s;
-      const CriticalPathResult cp = critical_path(tracer_, k.trace_id);
+      // Copy one trace at a time, so the window close never holds copies of
+      // every kept trace at once.
+      std::vector<SpanRecord> trace;
+      for (const SpanRecord* span :
+           std::ranges::equal_range(found, k.trace_id, {}, trace_of)) {
+        trace.push_back(*span);
+      }
+      sort_by_start(trace);
+      const CriticalPathResult cp = critical_path(trace);
       if (cp.valid) {
         s.root_op = cp.root_name;
         s.root_service = cp.root_service;

@@ -145,18 +145,20 @@ void Tracer::evict_over_retention() {
   }
 }
 
+void sort_by_start(std::vector<SpanRecord>& spans) {
+  std::stable_sort(spans.begin(), spans.end(),
+                   [](const SpanRecord& a, const SpanRecord& b) {
+                     return std::tie(a.start, a.span_id) <
+                            std::tie(b.start, b.span_id);
+                   });
+}
+
 std::vector<SpanRecord> Tracer::trace_spans(std::uint64_t trace_id) const {
   std::vector<SpanRecord> out;
   for (const SpanRecord& span : finished_) {
     if (span.trace_id == trace_id) out.push_back(span);
   }
-  // span_id tie-break: ids are allocated sequentially, so spans begun at the
-  // same instant still come out in begin order (parents before children).
-  std::stable_sort(out.begin(), out.end(),
-                   [](const SpanRecord& a, const SpanRecord& b) {
-                     return std::tie(a.start, a.span_id) <
-                            std::tie(b.start, b.span_id);
-                   });
+  sort_by_start(out);
   return out;
 }
 

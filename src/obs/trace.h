@@ -101,6 +101,11 @@ struct SpanRecord {
   }
 };
 
+// Stable sort by (start, span_id): span ids are allocated sequentially, so
+// spans begun at the same instant still come out in begin order (parents
+// before children). The order critical_path() expects.
+void sort_by_start(std::vector<SpanRecord>& spans);
+
 class Tracer {
  public:
   explicit Tracer(sim::Kernel& kernel) : kernel_(kernel) {}
@@ -196,7 +201,7 @@ class Tracer {
   }
   std::size_t tail_pinned_traces() const { return tail_pinned_.size(); }
   const std::deque<SpanRecord>& finished() const { return finished_; }
-  // All finished spans of one trace, in start order.
+  // All finished spans of one trace, in start order (sort_by_start).
   std::vector<SpanRecord> trace_spans(std::uint64_t trace_id) const;
 
   std::size_t open_spans() const { return open_.size(); }

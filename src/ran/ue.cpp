@@ -211,7 +211,8 @@ void UeLte::on_downlink_nas(common::Bytes nas_pdu) {
 
   if (const auto* smc = std::get_if<lte::SecurityModeCommand>(&msg)) {
     fsm_.handle(lte::EmmEvent::kAuthSucceeded);
-    k_nas_int_ = crypto::derive_k_nas_int(kasme_, crypto::NasAlgorithm::kEia2);
+    k_nas_int_ = crypto::HmacKey(
+        crypto::derive_k_nas_int(kasme_, crypto::NasAlgorithm::kEia2));
     const std::uint32_t expected =
         compute_mac(dl_count_, lte::NasMessage{*smc});
     if (expected != smc->mac) {
@@ -455,7 +456,8 @@ void UeNr::on_downlink_nas(common::Bytes nas_pdu) {
   }
 
   if (const auto* smc = std::get_if<nr::SecurityModeCommand5g>(&msg)) {
-    k_nas_int_ = crypto::derive_k_nas_int(kasme_, crypto::NasAlgorithm::kEia2);
+    k_nas_int_ = crypto::HmacKey(
+        crypto::derive_k_nas_int(kasme_, crypto::NasAlgorithm::kEia2));
     const std::uint32_t expected =
         compute_mac(dl_count_, nr::Nas5gMessage{*smc});
     if (expected != smc->mac) {

@@ -157,15 +157,15 @@ class UeLte final : public LteUeLink {
   sim::EventId guard_timer_;
 
   crypto::Key256 kasme_{};
-  crypto::Key256 k_nas_int_{};
-  crypto::Key256 k_nas_enc_{};
-  bool security_active_ = false;  // NAS ciphering engaged (post-SMC)
+  crypto::HmacKey k_nas_int_;
+  crypto::Key128 k_nas_enc_{};
   std::uint32_t dl_count_ = 0;
   std::uint32_t ul_count_ = 0;
   std::uint32_t dl_cipher_count_ = 0;
   std::uint32_t ul_cipher_count_ = 0;
   std::uint32_t m_tmsi_ = 0;
   std::optional<common::Ipv4> ip_;
+  bool security_active_ = false;  // NAS ciphering engaged (post-SMC)
   bool idle_ = false;
   bool expecting_idle_release_ = false;
   std::uint64_t pages_received_ = 0;
@@ -218,7 +218,7 @@ class UeNr final : public NrUeLink {
   sim::EventId guard_timer_;
 
   crypto::Key256 kasme_{};
-  crypto::Key256 k_nas_int_{};
+  crypto::HmacKey k_nas_int_;
   std::uint32_t dl_count_ = 0;
   std::uint32_t ul_count_ = 0;
   std::optional<common::Ipv4> ip_;

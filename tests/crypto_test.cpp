@@ -1,6 +1,8 @@
 // Known-answer and property tests for the crypto substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/bytes.h"
 #include "crypto/aes128.h"
 #include "crypto/hmac.h"
@@ -43,6 +45,19 @@ TEST(Aes128, Sp800_38aVector) {
   const crypto::Block ct = aes.encrypt(pt);
   EXPECT_EQ(to_hex(common::BytesView(ct.data(), ct.size())),
             "3ad77bb40d7a3660a89ecaf32466ef97");
+}
+
+// Pins the whole round function, not just one block: the final block of a
+// 10,000-step chain (each ciphertext is the next plaintext) from the
+// FIPS-197 C.1 key and plaintext. The expected value was recorded from the
+// byte-wise reference implementation this T-table version replaced.
+TEST(Aes128, ChainedTenThousandBlocks) {
+  const crypto::Key128 key = arr<16>("000102030405060708090a0b0c0d0e0f");
+  crypto::Block block = arr<16>("00112233445566778899aabbccddeeff");
+  const crypto::Aes128 aes(key);
+  for (int i = 0; i < 10000; ++i) block = aes.encrypt(block);
+  EXPECT_EQ(to_hex(common::BytesView(block.data(), block.size())),
+            "e8512fb516ff348e336e540868fc0bad");
 }
 
 TEST(Aes128, DifferentKeysDifferentCiphertext) {
@@ -95,6 +110,31 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
+// Every length 0-200 (so every padding edge: 55, 56, 63, 64, 119, 120, ...)
+// at every split point agrees with the one-shot digest, and the one-shot
+// digests themselves hash to a value computed with an independent SHA-256
+// (Python's hashlib).
+TEST(Sha256, EveryLengthEverySplit) {
+  crypto::Sha256 all;
+  for (std::size_t n = 0; n <= 200; ++n) {
+    common::Bytes data(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      data[i] = static_cast<std::uint8_t>(i * 31 + 7);
+    }
+    const crypto::Digest256 one_shot = crypto::sha256(data);
+    for (std::size_t split = 0; split <= n; ++split) {
+      crypto::Sha256 h;
+      h.update(common::BytesView(data.data(), split));
+      h.update(common::BytesView(data.data() + split, n - split));
+      ASSERT_EQ(h.finish(), one_shot) << "len=" << n << " split=" << split;
+    }
+    all.update(one_shot);
+  }
+  const crypto::Digest256 d = all.finish();
+  EXPECT_EQ(to_hex(common::BytesView(d.data(), d.size())),
+            "2596dc78bf91fcc2d7cdba569d85e7c20f5d24bdc74fb082da12c7272515aa28");
+}
+
 // --- HMAC-SHA256 (RFC 4231) --------------------------------------------------
 
 TEST(HmacSha256, Rfc4231Case1) {
@@ -119,6 +159,80 @@ TEST(HmacSha256, Rfc4231Case6LongKey) {
                             "Key First"));
   EXPECT_EQ(to_hex(common::BytesView(d.data(), d.size())),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+TEST(HmacSha256, KeyedMatchesRfc4231) {
+  const crypto::HmacKey key1(common::Bytes(20, 0x0b));
+  const auto d1 = key1.mac(common::to_bytes("Hi There"));
+  EXPECT_EQ(to_hex(common::BytesView(d1.data(), d1.size())),
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+  // Reusing a key is the point of HmacKey: a second MAC must not see the
+  // first one's state.
+  const auto d2 = crypto::HmacKey(common::to_bytes("Jefe"))
+                      .mac(common::to_bytes("what do ya want for nothing?"));
+  EXPECT_EQ(to_hex(common::BytesView(d2.data(), d2.size())),
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+  EXPECT_EQ(key1.mac(common::to_bytes("Hi There")), d1);
+  const crypto::HmacKey key6(common::Bytes(131, 0xaa));
+  const auto d6 = key6.mac(common::to_bytes(
+      "Test Using Larger Than Block-Size Key - Hash Key First"));
+  EXPECT_EQ(to_hex(common::BytesView(d6.data(), d6.size())),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+// HMAC spelled out per RFC 2104 with one-shot hashes over concatenated
+// buffers: H((K0 ^ opad) || H((K0 ^ ipad) || m)).
+crypto::Digest256 rfc2104_hmac(common::BytesView key, common::BytesView msg) {
+  common::Bytes k0(64, 0);
+  if (key.size() > 64) {
+    const crypto::Digest256 kh = crypto::sha256(key);
+    std::copy(kh.begin(), kh.end(), k0.begin());
+  } else {
+    std::copy(key.begin(), key.end(), k0.begin());
+  }
+  common::Bytes inner(k0);
+  for (auto& b : inner) b ^= 0x36;
+  inner.insert(inner.end(), msg.begin(), msg.end());
+  const crypto::Digest256 inner_digest = crypto::sha256(inner);
+  common::Bytes outer(k0);
+  for (auto& b : outer) b ^= 0x5c;
+  outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+  return crypto::sha256(outer);
+}
+
+// Key lengths across the block-size edges (empty, short, exactly 64,
+// hashed-down) against every message length 0-150; the MACs also hash to
+// a value computed with Python's hmac module.
+TEST(HmacSha256, KeyedMatchesRfc2104Construction) {
+  crypto::Sha256 all;
+  for (std::size_t key_len : {0u, 1u, 32u, 64u, 65u, 131u}) {
+    common::Bytes key(key_len);
+    for (std::size_t i = 0; i < key_len; ++i) {
+      key[i] = static_cast<std::uint8_t>(i * 13 + 1);
+    }
+    const crypto::HmacKey keyed(key);
+    for (std::size_t msg_len = 0; msg_len <= 150; ++msg_len) {
+      common::Bytes msg(msg_len);
+      for (std::size_t i = 0; i < msg_len; ++i) {
+        msg[i] = static_cast<std::uint8_t>(i * 7 + 3);
+      }
+      const crypto::Digest256 mac = keyed.mac(msg);
+      ASSERT_EQ(mac, rfc2104_hmac(key, msg))
+          << "key_len=" << key_len << " msg_len=" << msg_len;
+      ASSERT_EQ(mac, crypto::hmac_sha256(key, msg));
+      all.update(mac);
+    }
+  }
+  const crypto::Digest256 d = all.finish();
+  EXPECT_EQ(to_hex(common::BytesView(d.data(), d.size())),
+            "9964508b7a957fe92d58ab49cdf91a2f311787ec7fecc5849acafb9b651d4881");
+}
+
+TEST(HmacSha256, DefaultKeyIsAllZeroKey) {
+  const auto msg = common::to_bytes("security-mode-command");
+  const crypto::HmacKey zero;
+  EXPECT_EQ(zero.mac(msg), crypto::hmac_sha256(crypto::Key256{}, msg));
+  EXPECT_EQ(zero.mac(msg), crypto::HmacKey(common::BytesView{}).mac(msg));
 }
 
 // --- Milenage (TS 35.207 Test Set 1) ------------------------------------------
@@ -219,14 +333,18 @@ TEST(Kdf, DistinctSubKeys) {
   const auto integrity =
       crypto::derive_k_nas_int(kasme, crypto::NasAlgorithm::kEia2);
   const auto kenb = crypto::derive_k_enb(kasme, 0);
-  EXPECT_NE(enc, integrity);
-  EXPECT_NE(enc, kenb);
+  // K_NASenc is the 128-bit EEA2 key: compare it with the others' first
+  // halves.
+  const common::BytesView enc_view(enc);
+  EXPECT_FALSE(std::equal(enc_view.begin(), enc_view.end(), integrity.begin()));
+  EXPECT_FALSE(std::equal(enc_view.begin(), enc_view.end(), kenb.begin()));
   EXPECT_NE(integrity, kenb);
 }
 
 TEST(Kdf, NasMacDependsOnCountAndMessage) {
-  crypto::Key256 key{};
-  key[5] = 7;
+  crypto::Key256 raw{};
+  raw[5] = 7;
+  const crypto::HmacKey key(raw);
   const auto msg = common::to_bytes("attach-accept");
   const std::uint32_t mac0 = crypto::nas_mac(key, 0, msg);
   EXPECT_EQ(mac0, crypto::nas_mac(key, 0, msg));
@@ -234,8 +352,44 @@ TEST(Kdf, NasMacDependsOnCountAndMessage) {
   EXPECT_NE(mac0, crypto::nas_mac(key, 0, common::to_bytes("attach-reject")));
 }
 
+// The keyed NAS MAC is the 32-bit truncation of one-shot HMAC over
+// COUNT (big-endian) || message, for any count and message length.
+TEST(Kdf, NasMacIsTruncatedHmacOverCountAndMessage) {
+  crypto::Key256 raw{};
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    raw[i] = static_cast<std::uint8_t>(0xA0 + i);
+  }
+  const crypto::HmacKey key(raw);
+  for (std::uint32_t count : {0u, 1u, 0x01020304u, 0xFFFFFFFFu}) {
+    for (std::size_t len = 0; len <= 130; ++len) {
+      common::Bytes msg(len);
+      for (std::size_t i = 0; i < len; ++i) {
+        msg[i] = static_cast<std::uint8_t>(i ^ count);
+      }
+      common::Bytes data = {static_cast<std::uint8_t>(count >> 24),
+                            static_cast<std::uint8_t>(count >> 16),
+                            static_cast<std::uint8_t>(count >> 8),
+                            static_cast<std::uint8_t>(count)};
+      data.insert(data.end(), msg.begin(), msg.end());
+      const crypto::Digest256 d = crypto::hmac_sha256(raw, data);
+      const std::uint32_t expected =
+          (std::uint32_t(d[0]) << 24) | (std::uint32_t(d[1]) << 16) |
+          (std::uint32_t(d[2]) << 8) | std::uint32_t(d[3]);
+      ASSERT_EQ(crypto::nas_mac(key, count, msg), expected)
+          << "count=" << count << " len=" << len;
+    }
+  }
+}
+
+TEST(Kdf, InputLayoutIsFcThenParamsWithLengths) {
+  const std::uint8_t p1[3] = {0xAA, 0xBB, 0xCC};
+  crypto::KdfInput input(0x15);
+  input.param(common::BytesView(p1, 3)).param({});
+  EXPECT_EQ(to_hex(input.view()), "15aabbcc00030000");
+}
+
 TEST(NasCipher, RoundTripAllLengths) {
-  crypto::Key256 key{};
+  crypto::Key128 key{};
   key[0] = 0x42;
   for (std::size_t len : {0u, 1u, 15u, 16u, 17u, 32u, 100u, 1000u}) {
     common::Bytes plain(len);
@@ -252,9 +406,9 @@ TEST(NasCipher, RoundTripAllLengths) {
 }
 
 TEST(NasCipher, KeystreamDependsOnCountDirectionKey) {
-  crypto::Key256 k1{};
+  crypto::Key128 k1{};
   k1[0] = 1;
-  crypto::Key256 k2{};
+  crypto::Key128 k2{};
   k2[0] = 2;
   const common::Bytes plain(32, 0x00);  // ciphertext == keystream
   const auto base = crypto::nas_cipher(k1, 0, true, plain);
@@ -267,7 +421,7 @@ TEST(NasCipher, KeystreamDependsOnCountDirectionKey) {
 TEST(NasCipher, CipheredNasPduIsOpaqueWithoutKey) {
   // An on-path observer of a ciphered AttachAccept cannot decode it (and
   // with high probability cannot even parse it).
-  crypto::Key256 key{};
+  crypto::Key128 key{};
   key[3] = 9;
   proto::lte::AttachAccept accept;
   accept.m_tmsi = 77;

@@ -17,6 +17,11 @@
 # shipped over the backhaul and reprograms mobilityd and pipelined from it
 # (AgwTest, SessiondTest, FaultTest, and FuzzCheckpoint via Fuzz).
 #
+# The crypto suite rides along too: the AES T-tables are indexed by state
+# bytes, the SHA-256 padding writes into a fixed block buffer and KdfInput
+# builds S in a fixed inline buffer. An out-of-bounds index there produces
+# plausible-looking output rather than a crash, so only the sanitizer sees it.
+#
 # Usage: tests/run_sanitized.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,7 +32,7 @@ SUITES=(
   tracing_integration_test statusd_test slo_test cpu_profile_test
   host_profiler_test bench_compare_test sketch_test histogram_test
   pool_test inplace_function_test alloc_discipline_test
-  agw_test sessiond_test integration_fault_test
+  agw_test sessiond_test integration_fault_test crypto_test
 )
 
 # Bench binaries backing the ctest smoke targets (HostMicrobenchSmoke,
@@ -66,6 +71,6 @@ done
 export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 ctest --test-dir build-asan --output-on-failure \
-  -R 'Channel|Reliable|Datagram|Congestion|Fuzz|Rpc|Wire|Magmad|Orchestrator|DesiredState|TransportTelemetry|Tracer|Histogram|EventBuffer|EventReport|ChromeTrace|Tracing|Statusd|Service303|GatewayStatus|CpuProfile|TailSampler|CriticalPath|FleetIngest|DeltaStream|FleetScale|HostProfiler|BenchCompare|QueueDepth|BlockPool|TypedPool|PoolAllocator|InplaceFunction|KernelClosure|AllocDiscipline|AvailabilityLedger|BurnRate|Attribution|SloReport|SloIntegration|FleetSloAvailability|SpaceSaving|HyperLogLog|SubscriberSketches|SketchCodec|FormatTopSubscribers|MetricsdSketch|MetricsdDrops|AccessdSketch|SubscriberBench|TelemetryReport|FaultTest|AgwTest|SessiondTest' \
+  -R 'Channel|Reliable|Datagram|Congestion|Fuzz|Rpc|Wire|Magmad|Orchestrator|DesiredState|TransportTelemetry|Tracer|Histogram|EventBuffer|EventReport|ChromeTrace|Tracing|Statusd|Service303|GatewayStatus|CpuProfile|TailSampler|CriticalPath|FleetIngest|DeltaStream|FleetScale|HostProfiler|BenchCompare|QueueDepth|BlockPool|TypedPool|PoolAllocator|InplaceFunction|KernelClosure|AllocDiscipline|AvailabilityLedger|BurnRate|Attribution|SloReport|SloIntegration|FleetSloAvailability|SpaceSaving|HyperLogLog|SubscriberSketches|SketchCodec|FormatTopSubscribers|MetricsdSketch|MetricsdDrops|AccessdSketch|SubscriberBench|TelemetryReport|FaultTest|AgwTest|SessiondTest|Aes128|Sha256|HmacSha256|Milenage|Kdf|NasCipher|ConstantTimeEqual' \
   "$@"
 echo "sanitized transport suite: OK"

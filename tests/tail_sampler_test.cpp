@@ -3,6 +3,7 @@
 // zero-duration roots, and the exact-sum decomposition invariant.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -163,6 +164,65 @@ TEST(TailSampler, WindowRolloverShipsAndUnpinsTheClosedWindow) {
   EXPECT_EQ(shipped[0].trace_id, w1.trace_id);
   EXPECT_EQ(sampler.stats().windows_closed, 2u);
   EXPECT_EQ(sampler.held(), 0u);
+}
+
+// Window close gathers every kept trace's spans in one pass over the ring;
+// each summary must match the per-trace critical_path(tracer, id) walk.
+// The traces interleave in the ring, and siblings begin at the same
+// instant, so both the grouping and the (start, span_id) order matter.
+TEST(TailSampler, WindowCloseSummariesMatchPerTraceCriticalPath) {
+  sim::Kernel kernel;
+  Tracer tracer(kernel);
+  TailSamplerConfig config;
+  config.keep_per_op = 3;
+  config.window = sim::kSecond;
+  TailSampler sampler(kernel, tracer, config);
+
+  std::vector<TraceContext> roots;
+  for (int i = 0; i < 3; ++i) {
+    roots.push_back(tracer.begin("attach", "lte_frontend", "gw0"));
+    roots.push_back(tracer.begin("detach", "lte_frontend", "gw0"));
+  }
+  kernel.run_until(10 * sim::kMillisecond);
+  std::vector<TraceContext> children;
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    children.push_back(tracer.begin("begin_attach", "accessd", "gw0",
+                                    SpanKind::kInternal, roots[i]));
+    children.push_back(tracer.begin("rpc", "accessd", "gw0",
+                                    SpanKind::kClient, roots[i]));
+  }
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    kernel.run_until(kernel.now() + static_cast<sim::Duration>(i + 1) *
+                                        sim::kMillisecond);
+    tracer.add_wait(children[i], WaitState::kCpu,
+                    static_cast<sim::Duration>(i % 3) * sim::kMillisecond);
+    tracer.end(children[(i * 5) % children.size()]);
+  }
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    kernel.run_until(kernel.now() + static_cast<sim::Duration>(7 * i + 3) *
+                                        sim::kMillisecond);
+    tracer.end(roots[i]);
+  }
+  ASSERT_EQ(sampler.held(), roots.size());
+
+  std::map<std::uint64_t, CriticalPathResult> expected;
+  for (const TraceContext& root : roots) {
+    expected[root.trace_id] = critical_path(tracer, root.trace_id);
+    ASSERT_TRUE(expected[root.trace_id].valid);
+  }
+
+  kernel.run_until(3 * sim::kSecond);
+  const std::vector<TraceSummary> shipped = sampler.drain_ready();
+  ASSERT_EQ(shipped.size(), roots.size());
+  for (const TraceSummary& s : shipped) {
+    const CriticalPathResult& cp = expected.at(s.trace_id);
+    EXPECT_EQ(s.root_op, cp.root_name);
+    EXPECT_EQ(s.root_service, cp.root_service);
+    EXPECT_EQ(s.start, cp.root_start);
+    EXPECT_EQ(s.duration, cp.total);
+    EXPECT_EQ(s.breakdown, cp.breakdown);
+    EXPECT_EQ(s.gateway_id, "gw0");
+  }
 }
 
 TEST(TailSampler, ZeroDurationRootsAreKeptWithoutDividingByZero) {
