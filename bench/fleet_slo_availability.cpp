@@ -138,14 +138,15 @@ int main(int argc, char** argv) {
 
   // gw2: service crash at 9h — sessiond logs an ERROR, then magmad wedges
   // (every periodic loop stops doing work) until 9h45m. The ERROR event
-  // ships before the wedge; the counters stay flat, so attribution must
-  // pick service_crash over backhaul.
+  // waits out the wedge in gw2's buffer and rides the first report after
+  // it, inside the attribution settle; the counters stay flat, so
+  // attribution must pick service_crash over backhaul.
   run_until(at(9));
   net.agw(2).events().push(obs::Event{net.kernel().now(), "gw2",
                                       "service_crash", "sessiond",
                                       "sessiond terminated: assert failure",
                                       obs::EventSeverity::kError});
-  net.run_for(10 * sim::kSecond);  // let the event flush ship
+  net.run_for(10 * sim::kSecond);  // the wedge follows the crash
   net.agw(2).magmad().simulate_wedge(true);
   truth.push_back(
       {2, net.kernel().now(), at(9.75), obs::slo::DowntimeCause::kServiceCrash});

@@ -214,7 +214,6 @@ void bench_fleet(bool quick) {
   agw::MagmadConfig config;
   config.metrics_interval = sim::kHour;
   config.checkpoint_interval = sim::kHour;
-  config.event_flush_interval = sim::kHour;
 
   std::vector<std::unique_ptr<FleetGateway>> fleet;
   fleet.reserve(static_cast<std::size_t>(kFleet));

@@ -77,7 +77,6 @@ int main() {
   agw::MagmadConfig config;
   config.metrics_interval = sim::kHour;
   config.checkpoint_interval = sim::kHour;
-  config.event_flush_interval = sim::kHour;
 
   // Host cost of booting the fleet: the global operator-new hook counts
   // every allocation the 1000-gateway construction loop makes, so the

@@ -133,7 +133,6 @@ int main(int argc, char** argv) {
   sketch_config.config_poll_interval = sim::kHour;
   sketch_config.checkin_interval = sim::kHour;
   sketch_config.checkpoint_interval = sim::kHour;
-  sketch_config.event_flush_interval = sim::kHour;
   sketch_config.metrics_interval = 15 * sim::kSecond;
 
   std::vector<std::unique_ptr<Gateway>> fleet;
@@ -296,7 +295,6 @@ int main(int argc, char** argv) {
   sync_config.metrics_interval = sim::kHour;
   sync_config.checkin_interval = sim::kHour;
   sync_config.checkpoint_interval = sim::kHour;
-  sync_config.event_flush_interval = sim::kHour;
   auto sync_gw = make_gateway(kernel, rng, orc8r, "sync-gw", sync_config,
                               /*ship_sketch=*/false);
   const std::uint64_t sync_allocs_before =

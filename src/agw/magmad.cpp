@@ -8,6 +8,12 @@
 
 namespace magma::agw {
 
+namespace {
+// Events drained into one report. attach_churn emits ~150 attach events per
+// gateway per 15 s tick; anything beyond the cap waits for the next tick.
+constexpr std::size_t kEventsPerReport = 512;
+}  // namespace
+
 Magmad::Magmad(sim::Kernel& kernel, std::string gateway_id,
                rpc::RpcNode* orc8r, SubscriberDb& subscribers,
                PolicyDb& policies,
@@ -43,9 +49,6 @@ void Magmad::start() {
   run_loop(config_.checkin_interval, &Magmad::checkin_tick);
   run_loop(config_.metrics_interval, &Magmad::metrics_tick);
   run_loop(config_.checkpoint_interval, &Magmad::checkpoint_tick);
-  if (events_ != nullptr) {
-    run_loop(config_.event_flush_interval, &Magmad::event_tick);
-  }
 }
 
 void Magmad::run_loop(sim::Duration interval,
@@ -261,85 +264,54 @@ sim::Duration Magmad::metrics_tick() {
   orc8r::TelemetryReport report = telemetry_source_();
   report.gateway_id = gateway_id_;
   report.histograms = prepare_histogram_report(std::move(report.histograms));
+  if (events_ != nullptr) report.events = events_->take(kEventsPerReport);
   if (report.empty()) return config_.metrics_interval;
   const std::size_t summaries = report.summaries.size();
-  // Best effort (§3.4 metrics state): one attempt, short deadline, losses
-  // tolerated. Histograms and the sketch are cumulative, so the next
-  // report supersedes a lost one.
-  obs::svc_request(status_);
-  orc8r_->call(orc8r::kMetricsService, orc8r::kReportMetrics,
-               orc8r::encode_telemetry_report(report), config_.rpc_deadline,
-               [this, summaries](rpc::Result<rpc::Bytes> result) {
-                 if (result.ok()) {
-                   ++stats_.metric_reports_sent;
-                   stats_.trace_summaries_shipped += summaries;
-                 } else {
-                   ++stats_.metric_reports_lost;
-                   // Metricsd may have missed the base the histogram deltas
-                   // were built on — re-ship everything full next tick.
-                   last_shipped_counts_.clear();
-                   last_shipped_exemplars_.clear();
-                 }
-               });
-  return config_.metrics_interval;
-}
-
-sim::Duration Magmad::event_tick() {
-  // Backpressure-paced drain: ship batches until the buffer is empty or the
-  // channel already holds telemetry_backpressure unacked messages. Each
-  // batch sent occupies one slot, so the loop self-limits — a deep
-  // post-outage buffer catches up a few batches per tick at a rate the
-  // congestion window can absorb, while a congested channel sheds entirely
-  // and events wait in the bounded buffer (a long backlog only ever costs
-  // buffer memory, never channel occupancy).
-  while (events_->size() > 0 && !shed_telemetry()) {
-    std::vector<obs::Event> batch = events_->take(config_.event_batch_max);
-    if (batch.empty()) break;
-    const std::size_t count = batch.size();
-    // Parent the shipping RPC under the first traced event so the eventd
-    // leg shows up in that attach's span tree — and span-link every other
-    // traced event in the batch onto the shipping span, so a batch carrying
-    // N traces connects all N to this one RPC instead of only the first.
-    obs::TraceContext parent{};
-    for (const obs::Event& e : batch) {
-      if (e.trace.valid()) {
-        parent = e.trace;
-        break;
-      }
+  // Parent the send under the first traced event so the orchestrator leg
+  // shows up in that attach's span tree, and span-link every other traced
+  // event onto the shipping span, so a report carrying N traces connects
+  // all N to this one RPC instead of only the first.
+  obs::TraceContext parent{};
+  for (const obs::Event& e : report.events) {
+    if (e.trace.valid()) {
+      parent = e.trace;
+      break;
     }
-    obs::TraceContext ship{};
-    obs::Tracer* tracer = orc8r_->tracer();
-    if (tracer != nullptr && parent.valid()) {
-      ship = tracer->begin("ship_events", "magmad", gateway_id_,
-                           obs::SpanKind::kInternal, parent);
-      for (const obs::Event& e : batch) {
-        if (e.trace.valid()) obs::link_span(tracer, ship, e.trace);
-      }
-    }
-    {
-      const obs::Tracer::Scope scope(tracer, ship.valid() ? ship : parent);
-      // Best effort, like metrics: one attempt, losses counted, nothing
-      // re-queued (re-queueing under backhaul loss would just churn the
-      // bounded buffer).
-      orc8r_->call(orc8r::kEventService, orc8r::kLogEvents,
-                   obs::encode_event_report(batch), config_.rpc_deadline,
-                   [this, count](rpc::Result<rpc::Bytes> result) {
-                     if (result.ok()) {
-                       stats_.events_shipped += count;
-                     } else {
-                       stats_.events_lost += count;
-                     }
-                   });
-    }
-    obs::end_span(tracer, ship);
   }
-  // Catch-up cadence: a buffer that still holds events (deep post-outage
-  // backlog, or a congested channel we are shedding around) is re-checked
-  // every second — a cheap local poll, no channel occupancy — instead of
-  // waiting out the full flush interval.
-  return events_->empty()
-             ? config_.event_flush_interval
-             : std::min(config_.event_flush_interval, sim::kSecond);
+  obs::TraceContext ship{};
+  obs::Tracer* tracer = orc8r_->tracer();
+  if (tracer != nullptr && parent.valid()) {
+    ship = tracer->begin("ship_report", "magmad", gateway_id_,
+                         obs::SpanKind::kInternal, parent);
+    for (const obs::Event& e : report.events) {
+      if (e.trace.valid()) obs::link_span(tracer, ship, e.trace);
+    }
+  }
+  {
+    const obs::Tracer::Scope scope(tracer, ship.valid() ? ship : parent);
+    // Best effort (§3.4 metrics state): one attempt, short deadline, losses
+    // tolerated. Histograms and the sketch are cumulative, so the next
+    // report supersedes a lost one; a lost report's events are gone
+    // (re-queueing under backhaul loss would just churn the bounded buffer).
+    obs::svc_request(status_);
+    orc8r_->call(orc8r::kMetricsService, orc8r::kReportMetrics,
+                 orc8r::encode_telemetry_report(report), config_.rpc_deadline,
+                 [this, summaries](rpc::Result<rpc::Bytes> result) {
+                   if (result.ok()) {
+                     ++stats_.metric_reports_sent;
+                     stats_.trace_summaries_shipped += summaries;
+                   } else {
+                     ++stats_.metric_reports_lost;
+                     // Metricsd may have missed the base the histogram
+                     // deltas were built on — re-ship everything full next
+                     // tick.
+                     last_shipped_counts_.clear();
+                     last_shipped_exemplars_.clear();
+                   }
+                 });
+  }
+  obs::end_span(tracer, ship);
+  return config_.metrics_interval;
 }
 
 sim::Duration Magmad::checkpoint_tick() {

@@ -10,17 +10,17 @@
 //   * check-in      — device heartbeat into the gateway inventory.
 //   * metrics       — best-effort telemetry shipping (no retries, §3.4):
 //                     one report per tick carrying samples, histograms,
-//                     trace summaries and the subscriber sketch.
+//                     trace summaries, the subscriber sketch and the
+//                     structured events (attach outcomes, WARN/ERROR logs)
+//                     drained from the gateway's bounded event buffer. A
+//                     report that fails in flight loses its events, never
+//                     re-queued, so a backhaul outage only ever costs
+//                     bounded buffer memory.
 //   * checkpoint    — serialize AGW runtime state and ship it to the
 //                     orchestrator as the warm-standby image (§3.3) when it
 //                     differs from the last one the orchestrator acked.
-//   * events        — drain the gateway's structured-event buffer (attach
-//                     outcomes, WARN/ERROR logs) to the orchestrator's
-//                     eventd. Best-effort: a batch that fails in flight is
-//                     counted lost, never re-queued, and a backhaul outage
-//                     only ever costs bounded buffer memory.
 //
-// All best-effort shipping (metrics, events, checkpoints) yields to the
+// All best-effort shipping (reports, checkpoints) yields to the
 // config sync under transport backpressure: when the shared control channel
 // already holds `telemetry_backpressure` unacknowledged messages, the tick
 // sheds instead of queueing behind the congestion window. Without this, on
@@ -60,10 +60,8 @@ struct MagmadConfig {
   // shorter than that discards responses the transport was about to
   // deliver. Long-poll style: one poll interval.
   sim::Duration sync_rpc_deadline = 30 * sim::kSecond;
-  sim::Duration event_flush_interval = 5 * sim::kSecond;
-  std::size_t event_batch_max = 64;
   // Best-effort backpressure: when the control channel already holds this
-  // many unacknowledged messages, metrics/event/checkpoint ticks skip
+  // many unacknowledged messages, metrics/checkpoint ticks skip
   // shipping (counted in telemetry_sheds) instead of queueing behind the
   // congestion window — where they would starve the config sync whose
   // deadline-bound RPCs share the channel.
@@ -82,7 +80,8 @@ struct MagmadStats {
   std::uint64_t epoch_resyncs = 0;
   std::uint64_t checkins_ok = 0;
   std::uint64_t checkin_failures = 0;
-  // Telemetry reports (one per metrics tick with anything to ship).
+  // Telemetry reports (one per metrics tick with anything to ship). A lost
+  // report's events are gone with it.
   std::uint64_t metric_reports_sent = 0;
   std::uint64_t metric_reports_lost = 0;
   std::uint64_t checkpoints_shipped = 0;
@@ -95,16 +94,15 @@ struct MagmadStats {
   std::uint64_t histogram_full_snapshots = 0;
   std::uint64_t histogram_delta_snapshots = 0;
   std::uint64_t histogram_unchanged_skips = 0;
-  std::uint64_t events_shipped = 0;
-  std::uint64_t events_lost = 0;
   // Tail-sampled trace summaries (the "where does attach latency go"
   // payload) carried by delivered reports. A lost report's summaries are
   // gone; the sampler keeps producing fresh ones every window.
   std::uint64_t trace_summaries_shipped = 0;
   // Best-effort ticks that skipped shipping because the control channel was
   // already backlogged (see MagmadConfig::telemetry_backpressure). Events
-  // stay in their bounded buffer for the next tick; metrics are simply not
-  // snapshotted this round, and a changed checkpoint ships on a later tick.
+  // stay in their bounded buffer for the next report; metrics are simply
+  // not snapshotted this round, and a changed checkpoint ships on a later
+  // tick.
   std::uint64_t telemetry_sheds = 0;
 };
 
@@ -118,7 +116,7 @@ class Magmad {
   // summaries closed since the last tick and the cumulative subscriber
   // sketch. magmad fills in the report's gateway id.
   // `events` (optional) is the gateway's structured-event buffer, drained
-  // periodically toward eventd; `status_source` (optional) returns the
+  // into each metrics tick's report; `status_source` (optional) returns the
   // gateway's Service303 registry snapshot, shipped inside each checkin
   // (the health plane's payload).
   Magmad(sim::Kernel& kernel, std::string gateway_id, rpc::RpcNode* orc8r,
@@ -132,7 +130,8 @@ class Magmad {
   // requests/errors/deadlines count its southbound RPC outcomes).
   void set_status(obs::Service303* status);
 
-  // Begin the periodic loops (idempotent).
+  // Begin the four periodic loops — sync, checkin, report, checkpoint
+  // (idempotent).
   void start();
   // One immediate config sync (used at boot and by tests).
   void sync_config_now();
@@ -160,7 +159,6 @@ class Magmad {
   sim::Duration checkin_tick();
   sim::Duration metrics_tick();
   sim::Duration checkpoint_tick();
-  sim::Duration event_tick();
   void handle_update(const orc8r::DesiredUpdate& update);
   // Counts and reports a failed sync; `forget_version` makes the next poll
   // a full sync.

@@ -24,7 +24,7 @@
 //    — an empty event in the kernel queue is a bug, not a recoverable state.
 //
 // Memory-discipline toggle: when common::memory_pooling_enabled() is false
-// (MAGMA_DISABLE_POOLS, or set_memory_pooling_enabled(false)), every
+// (set_memory_pooling_enabled(false)), every
 // construction takes the heap path even when the callable would fit inline.
 // Behavior is bit-identical either way — the determinism suite runs the
 // same seed through both modes and diffs the results — the toggle exists

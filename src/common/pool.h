@@ -21,7 +21,7 @@
 //    a lifetime bug, full stop.
 //  * Heap fallback is legal but counted: pool exhaustion (bounded pools),
 //    size mismatch (an allocator asked for an array), or the global
-//    MAGMA_DISABLE_POOLS toggle all route to plain operator new, tagged in
+//    pooling toggle all route to plain operator new, tagged in
 //    a per-block header so release always returns memory where it came
 //    from. PoolStats::heap_fallbacks growing in steady state means the pool
 //    is mis-sized — the bench wall catches it as reappearing *_allocs.
@@ -40,10 +40,9 @@
 
 namespace magma::common {
 
-// Global runtime toggle (shared with InplaceFunction's inline storage).
-// Resolved once from the environment: MAGMA_DISABLE_POOLS set to anything
-// but "0" disables pooling process-wide; set_memory_pooling_enabled
-// overrides it (tests flip it to run the same scenario both ways).
+// Global runtime toggle (shared with InplaceFunction's inline storage). On
+// unless set_memory_pooling_enabled(false) is called; tests flip it to run
+// the same scenario both ways.
 bool memory_pooling_enabled() noexcept;
 void set_memory_pooling_enabled(bool enabled) noexcept;
 

@@ -11,7 +11,6 @@ common::Bytes encode_event_report(const std::vector<Event>& events) {
   w.u64(events.size());
   for (const Event& e : events) {
     w.i64(e.time);
-    w.str(e.gateway_id);
     w.str(e.type);
     w.str(e.source);
     w.str(e.message);
@@ -23,16 +22,21 @@ common::Bytes encode_event_report(const std::vector<Event>& events) {
 }
 
 common::Result<std::vector<Event>> decode_event_report(
-    common::BytesView data) {
+    common::BytesView data, const std::string& gateway_id) {
   rpc::Reader r(data);
   const std::uint64_t count = r.u64();
+  // Attacker-controlled count: each event needs ≥ 37 bytes on the wire
+  // (time, three length prefixes, severity, trace context).
+  if (!r.ok() || count > r.remaining() / 37) {
+    return common::Error{common::ErrorCode::kInvalidArgument,
+                         "corrupt event report"};
+  }
   std::vector<Event> events;
-  // Attacker-controlled count: each event needs ≥ 41 bytes on the wire.
-  events.reserve(std::min<std::uint64_t>(count, r.remaining() / 41 + 1));
+  events.reserve(count);
   for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
     Event e;
     e.time = r.i64();
-    e.gateway_id = r.str();
+    e.gateway_id = gateway_id;
     e.type = r.str();
     e.source = r.str();
     e.message = r.str();

@@ -3,9 +3,9 @@
 // The log.h header has always noted that "Magma's real AGW ships logs to
 // the orchestrator"; this makes it true for the reproduction. WARN/ERROR
 // log lines and notable control-plane milestones (attach success/reject)
-// become Events, buffered in a bounded ring on the gateway, and drained in
-// batches by magmad over the control channel. Loss-tolerant by design: a
-// backhaul outage drops events (counted) and never blocks the gateway —
+// become Events, buffered in a bounded ring on the gateway, and drained by
+// magmad into each metrics tick's telemetry report. Loss-tolerant by design:
+// a backhaul outage drops events (counted) and never blocks the gateway —
 // the same posture as metrics (§3.4 "metrics state").
 //
 // Events carry the TraceContext active when they were emitted, so the
@@ -36,8 +36,12 @@ struct Event {
   TraceContext trace{};  // context active at emission ({} if none)
 };
 
+// The events section of a telemetry report. The wire carries no per-event
+// gateway id: the decoder stamps `gateway_id` (the report envelope's) onto
+// every event, so a gateway cannot speak for another.
 common::Bytes encode_event_report(const std::vector<Event>& events);
-common::Result<std::vector<Event>> decode_event_report(common::BytesView data);
+common::Result<std::vector<Event>> decode_event_report(
+    common::BytesView data, const std::string& gateway_id);
 
 // Bounded FIFO of pending events. Overflow drops the *oldest* event (the
 // newest is the one an operator debugging an outage needs) and counts it.

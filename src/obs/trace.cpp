@@ -103,21 +103,13 @@ void Tracer::set_retention(std::size_t max_finished) {
   evict_over_retention();
 }
 
-void Tracer::set_max_pinned_traces(std::size_t max_pinned) {
-  max_pinned_traces_ = max_pinned;
-  while (pinned_.size() > max_pinned_traces_ && !pin_order_.empty()) {
-    pinned_.erase(pin_order_.front());
-    pin_order_.pop_front();
-  }
-}
-
 void Tracer::pin_trace(std::uint64_t trace_id) {
-  if (max_pinned_traces_ == 0 || pinned_.count(trace_id) != 0) return;
+  if (pinned_.count(trace_id) != 0) return;
   pinned_.insert(trace_id);
   pin_order_.push_back(trace_id);
   // Error storm: release the oldest pin rather than growing without bound
   // (its spans become ordinary eviction candidates again).
-  while (pinned_.size() > max_pinned_traces_) {
+  while (pinned_.size() > kMaxPinnedTraces) {
     pinned_.erase(pin_order_.front());
     pin_order_.pop_front();
   }

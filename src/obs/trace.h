@@ -72,13 +72,13 @@ struct SpanRecord {
   std::uint64_t parent_span_id = 0;  // 0: root
   SpanKind kind = SpanKind::kInternal;
   std::string name;     // operation, e.g. "attach", "streamer/GetUpdates"
-  std::string service;  // emitting service, e.g. "accessd" (Chrome: thread)
-  std::string node;     // gateway id or "orc8r" (Chrome: process)
+  std::string service;  // emitting service, e.g. "accessd"
+  std::string node;     // gateway id or "orc8r"
   sim::TimePoint start = 0;
   sim::TimePoint end = 0;
   std::vector<std::pair<std::string, std::string>> tags;
   // Causally related spans in *other* traces (OpenTelemetry span links):
-  // e.g. the one RPC that ships an event batch links every batched trace.
+  // e.g. the one report RPC that ships events links every carried trace.
   std::vector<TraceContext> links;
   // Set when the span was tagged "error"; an erroring span pins its whole
   // trace against drop-oldest eviction (see Tracer::set_retention).
@@ -173,7 +173,7 @@ class Tracer {
   void set_retention(std::size_t max_finished);
   // Cap on distinct pinned traces (oldest pin released first). Keeps the
   // retain-on-error set bounded during error storms.
-  void set_max_pinned_traces(std::size_t max_pinned);
+  static constexpr std::size_t kMaxPinnedTraces = 128;
   std::size_t pinned_traces() const { return pinned_.size(); }
   bool trace_pinned(std::uint64_t trace_id) const {
     return pinned_.count(trace_id) != 0 || tail_pinned_.count(trace_id) != 0;
@@ -224,7 +224,6 @@ class Tracer {
   std::deque<std::uint64_t> pin_order_;       // FIFO for the pin cap
   // Explicitly pinned traces -> pin refcount (sampler + exemplar holders).
   std::unordered_map<std::uint64_t, std::uint32_t> tail_pinned_;
-  std::size_t max_pinned_traces_ = 128;
   std::uint64_t spans_started_ = 0;
   std::uint64_t spans_finished_ = 0;
   std::uint64_t spans_dropped_ = 0;

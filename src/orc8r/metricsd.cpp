@@ -150,14 +150,22 @@ common::Result<std::vector<HistogramSnapshot>> decode_histogram_report(
 }
 
 common::Bytes encode_telemetry_report(const TelemetryReport& report) {
+  const common::Bytes sections[] = {
+      encode_metric_report(report.samples),
+      encode_histogram_report(report.histograms),
+      obs::encode_trace_summaries(report.summaries),
+      report.sketch.has_value()
+          ? obs::sketch::encode_sketch_report(*report.sketch)
+          : common::Bytes{},
+      obs::encode_event_report(report.events)};
+  // Sized up front: appending a section to a buffer grown to fit exactly
+  // the one before it would reallocate the whole report.
+  std::size_t size = 4 + report.gateway_id.size();
+  for (const common::Bytes& section : sections) size += 4 + section.size();
   rpc::Writer w;
+  w.reserve(size);
   w.str(report.gateway_id);
-  w.bytes(encode_metric_report(report.samples));
-  w.bytes(encode_histogram_report(report.histograms));
-  w.bytes(obs::encode_trace_summaries(report.summaries));
-  w.bytes(report.sketch.has_value()
-              ? obs::sketch::encode_sketch_report(*report.sketch)
-              : common::Bytes{});
+  for (const common::Bytes& section : sections) w.bytes(section);
   return std::move(w).take();
 }
 
@@ -172,6 +180,7 @@ common::Result<TelemetryReport> decode_telemetry_report(
   const common::Bytes histograms = r.bytes();
   const common::Bytes summaries = r.bytes();
   const common::Bytes sketch = r.bytes();
+  const common::Bytes events = r.bytes();
   if (!r.ok() || !r.at_end()) {
     return common::Error{common::ErrorCode::kInvalidArgument,
                          "corrupt telemetry report"};
@@ -226,6 +235,9 @@ common::Result<TelemetryReport> decode_telemetry_report(
     }
     report.sketch = std::move(decoded_sketch).take();
   }
+  auto decoded_events = obs::decode_event_report(events, report.gateway_id);
+  if (!decoded_events.ok()) return decoded_events.error();
+  report.events = std::move(decoded_events).take();
   return report;
 }
 

@@ -18,6 +18,7 @@
 
 #include "common/bytes.h"
 #include "common/result.h"
+#include "obs/events.h"
 #include "obs/histogram.h"
 #include "obs/sketch/subscriber_sketches.h"
 #include "obs/slo/availability.h"
@@ -284,21 +285,24 @@ class Metricsd {
 };
 
 // One magmad metrics tick's telemetry, shipped as a single best-effort
-// Report RPC. On the wire: the gateway id, then four length-prefixed
+// Report RPC. On the wire: the gateway id, then five length-prefixed
 // sections, each holding its own codec's bytes (encode_metric_report,
 // encode_histogram_report, obs::encode_trace_summaries,
-// obs::sketch::encode_sketch_report); a zero-length sketch section means no
-// sketch.
+// obs::sketch::encode_sketch_report, obs::encode_event_report); a
+// zero-length sketch section means no sketch.
 struct TelemetryReport {
   std::string gateway_id;
   std::vector<MetricSample> samples;
   std::vector<HistogramSnapshot> histograms;
   std::vector<obs::TraceSummary> summaries;
   std::optional<obs::sketch::SketchReport> sketch;
+  // Structured events drained from the gateway's buffer; the events section
+  // carries no gateway ids, the decoder stamps the envelope's.
+  std::vector<obs::Event> events;
 
   bool empty() const {
     return samples.empty() && histograms.empty() && summaries.empty() &&
-           !sketch.has_value();
+           !sketch.has_value() && events.empty();
   }
 };
 
@@ -306,7 +310,8 @@ common::Bytes encode_telemetry_report(const TelemetryReport& report);
 // Rejects the whole report when the envelope or any section is corrupt, or
 // when any sample, histogram, trace summary or sketch names a gateway other
 // than the envelope's. When a section was rejected, `bad_section` (if given)
-// receives the drop kind of that section's data (kMetric for the samples).
+// receives the drop kind of that section's data (kMetric for the samples;
+// none for the events, which are not metricsd data).
 common::Result<TelemetryReport> decode_telemetry_report(
     common::BytesView data,
     std::optional<Metricsd::DropKind>* bad_section = nullptr);

@@ -88,7 +88,6 @@ Orchestrator::Orchestrator(sim::Kernel& kernel, std::string network_name)
   svc_bootstrapper_ = &status_.register_service("bootstrapper");
   svc_state_ = &status_.register_service("state");
   svc_metricsd_ = &status_.register_service("metricsd");
-  svc_eventd_ = &status_.register_service("eventd");
   svc_statusd_ = &status_.register_service("statusd");
 
   // Epoch: strictly greater than both the store's previous incarnation and
@@ -113,6 +112,37 @@ std::vector<obs::Event> Orchestrator::events_of_type(
     if (e.type == type) out.push_back(e);
   }
   return out;
+}
+
+void Orchestrator::ingest_events(const std::string& gateway_id,
+                                 std::vector<obs::Event> events) {
+  // Attach-success SLI, extracted from the attach milestone events already
+  // in the report: good / (good + bad).
+  std::uint64_t good = 0;
+  std::uint64_t bad = 0;
+  for (const obs::Event& e : events) {
+    if (e.type == "attach_success") {
+      ++good;
+    } else if (e.type == "attach_reject" || e.type == "attach_abort") {
+      ++bad;
+    }
+  }
+  if (good + bad > 0) {
+    metricsd_.ingest(MetricSample{
+        gateway_id, "sli_attach_success_rate",
+        static_cast<double>(good) / static_cast<double>(good + bad),
+        kernel_.now()});
+  }
+  for (obs::Event& e : events) {
+    if (tracer_ != nullptr && e.trace.valid()) {
+      // Anchor the ingest into the event's originating trace — this is the
+      // orc8r-side leaf of an attach's span tree.
+      tracer_->end(tracer_->begin("ingest_event", "eventd", node_label_,
+                                  obs::SpanKind::kInternal, e.trace));
+    }
+    append_event(std::move(e));
+    ++stats_.events_ingested;
+  }
 }
 
 void Orchestrator::append_event(obs::Event event) {
@@ -649,55 +679,11 @@ void Orchestrator::bind(rpc::RpcNode& node) {
                                 metricsd_.ingest_sketch_report(
                                     std::move(*report.sketch));
                               }
+                              ingest_events(report.gateway_id,
+                                            std::move(report.events));
                             })) {
           note_ingest_shed();
         }
-        respond(rpc::Bytes{});
-      });
-
-  node.register_method(
-      kEventService, kLogEvents,
-      [this](const rpc::Bytes& request, rpc::Respond respond) {
-        obs::svc_request(svc_eventd_);
-        auto events = obs::decode_event_report(request);
-        if (!events.ok()) {
-          obs::svc_error(svc_eventd_, events.error().message);
-          respond(rpc::Error{events.error()});
-          return;
-        }
-        // Attach-success SLI, extracted from the attach milestone events
-        // already in the batch: per gateway, good / (good + bad).
-        std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
-            attach_outcomes;
-        for (const obs::Event& e : events.value()) {
-          if (e.type == "attach_success") {
-            ++attach_outcomes[e.gateway_id].first;
-          } else if (e.type == "attach_reject" || e.type == "attach_abort") {
-            ++attach_outcomes[e.gateway_id].second;
-          }
-        }
-        for (const auto& [gateway_id, outcomes] : attach_outcomes) {
-          const double total =
-              static_cast<double>(outcomes.first + outcomes.second);
-          metricsd_.ingest(MetricSample{
-              gateway_id, "sli_attach_success_rate",
-              static_cast<double>(outcomes.first) / total, kernel_.now()});
-        }
-        for (obs::Event& e : events.value()) {
-          if (tracer_ != nullptr && e.trace.valid()) {
-            // Anchor the ingest into the event's originating trace — this
-            // is the orc8r-side leaf of an attach's span tree.
-            const obs::TraceContext span = tracer_->begin(
-                "ingest_event", "eventd", node_label_,
-                obs::SpanKind::kInternal, e.trace);
-            tracer_->tag(span, "type", e.type);
-            tracer_->tag(span, "gateway", e.gateway_id);
-            tracer_->end(span);
-          }
-          append_event(std::move(e));
-          ++stats_.events_ingested;
-        }
-        ++stats_.event_reports;
         respond(rpc::Bytes{});
       });
 }

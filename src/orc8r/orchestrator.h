@@ -58,7 +58,6 @@ struct OrchestratorStats {
   std::uint64_t checkins = 0;
   std::uint64_t checkpoints_stored = 0;
   std::uint64_t metric_reports = 0;  // telemetry reports (TelemetryReport)
-  std::uint64_t event_reports = 0;
   std::uint64_t events_ingested = 0;
   std::uint64_t events_dropped = 0;  // event store retention overflow
   // Streamer breakdown: config_pushes = full_pushes + delta_pushes.
@@ -127,7 +126,7 @@ class Orchestrator {
   const IngestQueue& ingest() const { return ingest_; }
 
   // The orchestrator's own Service303 registry: every southbound service
-  // (streamer, bootstrapper, state, metricsd, eventd, statusd) counts its
+  // (streamer, bootstrapper, state, metricsd, statusd) counts its
   // requests/errors here.
   obs::StatusRegistry& status() { return status_; }
   const obs::StatusRegistry& status() const { return status_; }
@@ -207,6 +206,10 @@ class Orchestrator {
   void note_store_decode_error(const std::string& key,
                                const std::string& what);
   void note_ingest_shed();
+  // A report's events (ingest item): derive the attach-success SLI, anchor
+  // an ingest span into each traced event's trace, then store them.
+  void ingest_events(const std::string& gateway_id,
+                     std::vector<obs::Event> events);
   // Append to the event store, dropping the oldest beyond kEventRetention.
   void append_event(obs::Event event);
   static constexpr std::size_t kEventRetention = 65536;
@@ -235,7 +238,6 @@ class Orchestrator {
   obs::Service303* svc_bootstrapper_ = nullptr;
   obs::Service303* svc_state_ = nullptr;
   obs::Service303* svc_metricsd_ = nullptr;
-  obs::Service303* svc_eventd_ = nullptr;
   obs::Service303* svc_statusd_ = nullptr;
   std::deque<obs::Event> events_;
   obs::Tracer* tracer_ = nullptr;

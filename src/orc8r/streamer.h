@@ -91,10 +91,8 @@ inline constexpr const char* kStateService = "state";
 inline constexpr const char* kReportCheckpoint = "ReportCheckpoint";
 
 inline constexpr const char* kMetricsService = "metricsd";
-// Carries one TelemetryReport (metricsd.h) per magmad metrics tick.
+// Carries one TelemetryReport (metricsd.h) per magmad metrics tick, events
+// included.
 inline constexpr const char* kReportMetrics = "Report";
-
-inline constexpr const char* kEventService = "eventd";
-inline constexpr const char* kLogEvents = "LogEvents";
 
 }  // namespace magma::orc8r

@@ -147,12 +147,6 @@ void CpuModel::on_core_idle(int core) {
   }
 }
 
-double CpuModel::instantaneous_utilization() const {
-  int busy = 0;
-  for (const auto& c : cores_) busy += c.busy ? 1 : 0;
-  return static_cast<double>(busy) / static_cast<double>(config_.cores);
-}
-
 std::map<std::string, double> CpuModel::service_busy_seconds() const {
   std::map<std::string, double> out;
   for (const TaskLabelStats& ls : labels_) {
@@ -166,24 +160,6 @@ std::vector<Duration> CpuModel::core_busy_ns() const {
   std::vector<Duration> out;
   out.reserve(cores_.size());
   for (const Core& c : cores_) out.push_back(c.busy_ns);
-  return out;
-}
-
-std::vector<double> CpuModel::utilization_window(
-    UtilizationWindow& window) const {
-  const TimePoint now = kernel_.now();
-  std::vector<double> out(cores_.size(), 0.0);
-  const bool fresh =
-      window.at < 0 || window.busy.size() != cores_.size() || window.at > now;
-  if (!fresh && now > window.at) {
-    const double span = to_seconds(now - window.at);
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-      const double busy = to_seconds(cores_[i].busy_ns - window.busy[i]);
-      out[i] = std::clamp(busy / span, 0.0, 1.0);
-    }
-  }
-  window.busy = core_busy_ns();
-  window.at = now;
   return out;
 }
 

@@ -18,8 +18,8 @@
 // core, and per class (run-queue wait as log-bucketed histograms). Benches
 // turn a single "CPU at 97%" into "pipelined 71%, accessd 22%, ...", the
 // per-service breakdown Figures 6/7 are really about. An optional tracer
-// emits one span per executed task (service "cpu<core>") so Chrome's trace
-// viewer shows the per-core schedule.
+// emits one span per executed task (service "cpu<core>"): the per-core
+// schedule.
 #pragma once
 
 #include <cstdint>
@@ -111,9 +111,6 @@ class CpuModel {
               std::function<void()> done);
   static constexpr LabelId kUnattributed = 0;
 
-  // Instantaneous view: fraction of cores currently busy, [0,1].
-  double instantaneous_utilization() const;
-
   const CpuStats& stats() const { return stats_; }
   const CpuConfig& config() const { return config_; }
   Kernel& kernel() { return kernel_; }
@@ -134,20 +131,10 @@ class CpuModel {
     return queue_wait_[static_cast<std::size_t>(cls)];
   }
 
-  // Windowed per-core utilization: busy fraction of each core since
-  // `window` was last stamped (first call stamps and returns zeros). A task
-  // is charged entirely to the window in which it starts, so short windows
-  // relative to task length read lumpy; benches use multi-second windows.
-  struct UtilizationWindow {
-    std::vector<Duration> busy;
-    TimePoint at = -1;
-  };
-  std::vector<double> utilization_window(UtilizationWindow& window) const;
-
   // Optional per-task tracing: each executed task becomes a span named
-  // "<service>/<op>" under thread "cpu<core>" on node `node`, parented on
-  // the context current at submission — Chrome's viewer then renders the
-  // per-core schedule. Expensive per task; opt in for short captures only.
+  // "<service>/<op>" with service "cpu<core>" on node `node`, parented on
+  // the context current at submission — the spans are the per-core
+  // schedule. Expensive per task; opt in for short captures only.
   void set_tracer(obs::Tracer* tracer, std::string node);
 
   // Always-on span wait attribution (cheap: no spans emitted). When set,

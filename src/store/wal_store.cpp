@@ -1,7 +1,5 @@
 #include "store/wal_store.h"
 
-#include <cstdio>
-
 #include "rpc/wire.h"
 
 namespace magma::store {
@@ -101,35 +99,6 @@ common::Result<WalStore> WalStore::deserialize(common::BytesView data) {
   store.map_ = store.snapshot_;
   for (const Record& rec : store.wal_) apply(store.map_, rec);
   return store;
-}
-
-common::Status WalStore::save_to_file(const std::string& path) const {
-  const common::Bytes image = serialize();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) {
-    return common::Error{common::ErrorCode::kInternal, "cannot open " + path};
-  }
-  const std::size_t written = std::fwrite(image.data(), 1, image.size(), f);
-  std::fclose(f);
-  if (written != image.size()) {
-    return common::Error{common::ErrorCode::kInternal, "short write " + path};
-  }
-  return common::Status::Ok();
-}
-
-common::Result<WalStore> WalStore::load_from_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) {
-    return common::Error{common::ErrorCode::kNotFound, "cannot open " + path};
-  }
-  common::Bytes image;
-  std::uint8_t buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    image.insert(image.end(), buf, buf + n);
-  }
-  std::fclose(f);
-  return deserialize(image);
 }
 
 }  // namespace magma::store

@@ -5,8 +5,7 @@
 // to a WAL before mutating the materialized map; recovery replays
 // snapshot + log. `simulate_crash_and_recover()` models a process crash by
 // discarding the materialized state and rebuilding from the "disk" image —
-// tests assert the two are always equivalent. An optional file backend
-// persists the same image to a real file.
+// tests assert the two are always equivalent.
 #pragma once
 
 #include <cstdint>
@@ -45,11 +44,6 @@ class WalStore {
   // Serialize the durable image (snapshot + log).
   common::Bytes serialize() const;
   static common::Result<WalStore> deserialize(common::BytesView data);
-
-  // Real-file persistence (used by the store's own tests; the simulation
-  // normally keeps the image in memory).
-  common::Status save_to_file(const std::string& path) const;
-  static common::Result<WalStore> load_from_file(const std::string& path);
 
   // Monotone version, bumped on every mutation. Used by desired-state sync
   // to cheaply detect "something changed".

@@ -1,6 +1,6 @@
 // Continuous CPU profiler: (service, operation) attribution labels, per-core
-// and per-class accounting consistency, run-queue wait histograms, windowed
-// utilization, and the optional per-task trace export.
+// and per-class accounting consistency, run-queue wait histograms, and the
+// optional per-task trace export.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -96,33 +96,6 @@ TEST(CpuProfile, QueueWaitLandsInTheClassHistogram) {
   EXPECT_DOUBLE_EQ(wait.sum(), 3.0);
   EXPECT_EQ(cpu.queue_wait(WorkClass::kUser).count(), 0u);
   EXPECT_EQ(cpu.labels()[l].queue_wait_ns, 3 * kSecond);
-}
-
-TEST(CpuProfile, UtilizationWindowMeasuresDeltas) {
-  Kernel kernel;
-  CpuConfig config;
-  config.cores = 2;
-  config.speed_ghz = 1.0;
-  CpuModel cpu(kernel, config);
-
-  CpuModel::UtilizationWindow window;
-  // First call stamps the window and reads zeros.
-  std::vector<double> util = cpu.utilization_window(window);
-  ASSERT_EQ(util.size(), 2u);
-  EXPECT_DOUBLE_EQ(util[0], 0.0);
-  EXPECT_DOUBLE_EQ(util[1], 0.0);
-
-  // One core busy 4 s out of a 10 s window.
-  cpu.submit(WorkClass::kUser, 4.0, []() {});
-  kernel.run_until(10 * kSecond);
-  util = cpu.utilization_window(window);
-  ASSERT_EQ(util.size(), 2u);
-  EXPECT_NEAR(util[0] + util[1], 0.4, 1e-9);
-
-  // Next window starts fresh.
-  kernel.run_until(20 * kSecond);
-  util = cpu.utilization_window(window);
-  EXPECT_DOUBLE_EQ(util[0] + util[1], 0.0);
 }
 
 TEST(CpuProfile, TracerEmitsPerTaskSpans) {

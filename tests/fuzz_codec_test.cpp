@@ -14,6 +14,7 @@
 #include "datapath/packet.h"
 #include "net/channel.h"
 #include "obs/events.h"
+#include "obs/host_profiler.h"
 #include "obs/sketch/subscriber_sketches.h"
 #include "obs/status.h"
 #include "obs/tail_sampler.h"
@@ -58,7 +59,7 @@ void decode_everything(common::BytesView data) {
   (void)orc8r::decode_metric_report(data);
   (void)orc8r::decode_histogram_report(data);
   (void)orc8r::decode_telemetry_report(data);
-  (void)obs::decode_event_report(data);
+  (void)obs::decode_event_report(data, "gw-fuzz");
   (void)obs::decode_gateway_status(data);
   (void)obs::decode_trace_summaries(data);
   (void)obs::sketch::decode_sketch_report(data);
@@ -480,11 +481,12 @@ TEST(FuzzSketchReport, HostileFieldsRejectedWithoutAllocating) {
 }
 
 // The telemetry envelope carries every magmad metrics tick: the gateway id
-// plus four length-prefixed sections, each one of the codecs above. The
+// plus five length-prefixed sections, each one of the codecs above. The
 // envelope must reject truncation, trailing bytes and section lengths past
 // the buffer on its own (no section is credited with the drop); a section
 // its own codec rejects, or one with an item naming another gateway, fails
-// the whole report and names that section.
+// the whole report and names that section (events name none: they are not
+// metricsd data).
 TEST(FuzzTelemetryReport, RoundTripTruncationAndHostileSections) {
   orc8r::TelemetryReport report;
   report.gateway_id = "gw-fuzz";
@@ -509,6 +511,15 @@ TEST(FuzzTelemetryReport, RoundTripTruncationAndHostileSections) {
   sketches.record(obs::sketch::SubscriberMetric::kAttachFailures,
                   "IMSI001010000000001", 3, 0xe1);
   report.sketch = sketches.snapshot("gw-fuzz", 10);
+  obs::Event event;
+  event.time = 9;
+  event.gateway_id = "gw-fuzz";
+  event.type = "attach_success";
+  event.source = "lte_frontend";
+  event.message = "IMSI001010000000001";
+  event.severity = obs::EventSeverity::kWarn;
+  event.trace = obs::TraceContext{41, 42};
+  report.events.push_back(event);
 
   const common::Bytes wire = orc8r::encode_telemetry_report(report);
   auto decoded = orc8r::decode_telemetry_report(wire);
@@ -533,6 +544,15 @@ TEST(FuzzTelemetryReport, RoundTripTruncationAndHostileSections) {
                        .top();
   ASSERT_EQ(top.size(), 1u);
   EXPECT_EQ(top[0].count, 3u);
+  ASSERT_EQ(got.events.size(), 1u);
+  EXPECT_EQ(got.events[0].gateway_id, "gw-fuzz");
+  EXPECT_EQ(got.events[0].time, 9);
+  EXPECT_EQ(got.events[0].type, "attach_success");
+  EXPECT_EQ(got.events[0].source, "lte_frontend");
+  EXPECT_EQ(got.events[0].message, "IMSI001010000000001");
+  EXPECT_EQ(got.events[0].severity, obs::EventSeverity::kWarn);
+  EXPECT_EQ(got.events[0].trace.trace_id, 41u);
+  EXPECT_EQ(got.events[0].trace.span_id, 42u);
   // A zero-length sketch section is "no sketch", not an empty one.
   orc8r::TelemetryReport no_sketch = report;
   no_sketch.sketch.reset();
@@ -575,16 +595,17 @@ TEST(FuzzTelemetryReport, RoundTripTruncationAndHostileSections) {
       orc8r::encode_metric_report(report.samples),
       orc8r::encode_histogram_report(report.histograms),
       obs::encode_trace_summaries(report.summaries),
-      obs::sketch::encode_sketch_report(*report.sketch)};
-  const orc8r::Metricsd::DropKind kinds[] = {
+      obs::sketch::encode_sketch_report(*report.sketch),
+      obs::encode_event_report(report.events)};
+  const std::optional<orc8r::Metricsd::DropKind> kinds[] = {
       orc8r::Metricsd::DropKind::kMetric,
       orc8r::Metricsd::DropKind::kHistogram,
       orc8r::Metricsd::DropKind::kTraceSummary,
-      orc8r::Metricsd::DropKind::kSketch};
-  for (std::size_t bad = 0; bad < 4; ++bad) {
+      orc8r::Metricsd::DropKind::kSketch, std::nullopt};
+  for (std::size_t bad = 0; bad < 5; ++bad) {
     rpc::Writer w;
     w.str("gw-fuzz");
-    for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t i = 0; i < 5; ++i) {
       w.bytes(i == bad ? common::Bytes{0xde, 0xad} : sections[i]);
     }
     std::optional<orc8r::Metricsd::DropKind> section;
@@ -608,6 +629,32 @@ TEST(FuzzTelemetryReport, RoundTripTruncationAndHostileSections) {
                      .ok())
         << "section " << foreign;
     EXPECT_EQ(section, kinds[foreign]) << "section " << foreign;
+  }
+  // The events section carries no gateway ids at all: an event its encoder
+  // was handed under another gateway's id decodes as the envelope's.
+  {
+    orc8r::TelemetryReport spoofed = report;
+    spoofed.events[0].gateway_id = "gw-other";
+    auto stamped = orc8r::decode_telemetry_report(
+        orc8r::encode_telemetry_report(spoofed));
+    ASSERT_TRUE(stamped.ok());
+    EXPECT_EQ(stamped.value().events[0].gateway_id, "gw-fuzz");
+  }
+  // A hostile event count (the section's leading u64) claims 2^64 - 1
+  // events: rejected before any event storage is allocated.
+  {
+    common::Bytes hostile = sections[4];
+    for (std::size_t i = 0; i < 8; ++i) hostile[i] = 0xff;
+    const std::uint64_t bytes_before =
+        obs::HostProfiler::process_alloc_bytes();
+    EXPECT_FALSE(obs::decode_event_report(hostile, "gw-fuzz").ok());
+    EXPECT_LT(obs::HostProfiler::process_alloc_bytes() - bytes_before,
+              sizeof(obs::Event));
+    rpc::Writer w;
+    w.str("gw-fuzz");
+    for (std::size_t i = 0; i < 4; ++i) w.bytes(sections[i]);
+    w.bytes(hostile);
+    EXPECT_FALSE(orc8r::decode_telemetry_report(std::move(w).take()).ok());
   }
   // Bit flips: reject or decode, never crash.
   sim::Rng rng(29);

@@ -2,7 +2,10 @@
 // realistic backhaul, check-in, checkpoint shipping, durability.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "agw/magmad.h"
+#include "common/log.h"
 #include "core/network.h"
 #include "net/channel.h"
 #include "orc8r/orchestrator.h"
@@ -546,19 +549,13 @@ TEST(TelemetryReport, OneRpcPerMetricsTickCarriesEveryKind) {
   config.magmad.config_poll_interval = sim::kHour;
   config.magmad.checkin_interval = sim::kHour;
   config.magmad.checkpoint_interval = sim::kHour;
-  config.magmad.event_flush_interval = sim::kHour;
   core::Network net(config);
   agw::AccessGateway& agw = net.add_agw(agw::bare_metal_j3160());
   ran::EnodeB& enb = net.add_enodeb(agw);
   net.run_for(2 * sim::kSecond);
   const agw::SubscriberData sub = net.provision_subscriber();
   net.sync_all_config();
-  bool attached = false;
-  net.add_ue_lte(sub).attach(enb, [&](const ran::AttachOutcome& outcome) {
-    attached = outcome.success;
-  });
-  net.run_for(20 * sim::kSecond);
-  ASSERT_TRUE(attached);
+  ran::UeLte& ue = net.add_ue_lte(sub);
 
   // Start mid-interval so the window spans exactly four metrics ticks.
   const sim::Duration interval = config.magmad.metrics_interval;
@@ -566,18 +563,34 @@ TEST(TelemetryReport, OneRpcPerMetricsTickCarriesEveryKind) {
   const rpc::RpcStats& served = net.orc8r_node_for(agw).stats();
   const std::uint64_t calls_before = served.calls_served;
   const std::uint64_t reports_before = agw.magmad().stats().metric_reports_sent;
+  // An attach outcome and a WARN log inside the window ride the reports
+  // too: no RPC of their own.
+  bool attached = false;
+  ue.attach(enb, [&](const ran::AttachOutcome& outcome) {
+    attached = outcome.success;
+  });
+  MLOG_WARN("report_test") << "rides the report";
   net.run_for(4 * interval);
+  ASSERT_TRUE(attached);
   EXPECT_EQ(served.calls_served - calls_before, 4u);
   EXPECT_EQ(agw.magmad().stats().metric_reports_sent - reports_before, 4u);
 
-  // The single report still delivers samples, histograms, trace summaries
-  // and the subscriber sketch.
+  // The single report still delivers samples, histograms, trace summaries,
+  // the subscriber sketch and the events.
   const orc8r::Metricsd& metrics = net.orchestrator().metrics();
   EXPECT_TRUE(metrics.latest("gw0", "active_sessions").has_value());
   EXPECT_GE(metrics.histogram_count("span_lte_frontend_attach_s"), 1u);
   EXPECT_GE(metrics.trace_summaries_ingested(), 1u);
   EXPECT_GT(agw.magmad().stats().trace_summaries_shipped, 0u);
   EXPECT_EQ(metrics.sketch_gateways(), 1u);
+  const orc8r::Orchestrator& orc8r = net.orchestrator();
+  EXPECT_EQ(orc8r.events_of_type("attach_success").size(), 1u);
+  const std::vector<obs::Event> logs = orc8r.events_of_type("log");
+  EXPECT_TRUE(std::any_of(logs.begin(), logs.end(), [](const obs::Event& e) {
+    return e.source == "report_test" && e.gateway_id == "gw0";
+  }));
+  EXPECT_EQ(metrics.latest("gw0", "sli_attach_success_rate").value_or(-1),
+            1.0);
 }
 
 using TelemetryReportTest = MagmadTest;
@@ -593,6 +606,7 @@ TEST_F(TelemetryReportTest, CorruptHistogramSectionAppliesNothing) {
   w.bytes(common::to_bytes("not a histogram report"));
   w.bytes(obs::encode_trace_summaries({}));
   w.bytes(common::Bytes{});
+  w.bytes(obs::encode_event_report({}));
   const orc8r::Metricsd& metrics = orc8r_.metrics();
   const std::size_t samples_before = metrics.total_samples();
   bool rejected = false;
@@ -663,6 +677,37 @@ TEST_F(TelemetryReportTest, ForeignGatewayItemsAreRejected) {
   EXPECT_EQ(metrics.samples_dropped(Kind::kHistogram), 1u);
   EXPECT_EQ(metrics.samples_dropped(Kind::kTraceSummary), 1u);
   EXPECT_EQ(metrics.samples_dropped(Kind::kSketch), 1u);
+}
+
+TEST_F(TelemetryReportTest, EventsCannotSpeakForAnotherGateway) {
+  // gw0's report carries events its encoder was handed as gw1's: the events
+  // section has no gateway ids, so they land as gw0's. gw1's event store and
+  // attach-success SLI (the evidence statusd's downtime attribution reads)
+  // stay untouched.
+  orc8r::TelemetryReport report;
+  report.gateway_id = "gw0";
+  for (const char* type : {"attach_success", "attach_reject", "log"}) {
+    obs::Event e;
+    e.gateway_id = "gw1";
+    e.type = type;
+    e.severity = obs::EventSeverity::kError;
+    report.events.push_back(e);
+  }
+  bool accepted = false;
+  client_node_.call(orc8r::kMetricsService, orc8r::kReportMetrics,
+                    orc8r::encode_telemetry_report(report), 5 * sim::kSecond,
+                    [&](rpc::Result<rpc::Bytes> result) {
+                      accepted = result.ok();
+                    });
+  kernel_.run_until(5 * sim::kSecond);
+
+  ASSERT_TRUE(accepted);
+  EXPECT_EQ(orc8r_.events().size(), 3u);
+  for (const obs::Event& e : orc8r_.events()) EXPECT_EQ(e.gateway_id, "gw0");
+  const orc8r::Metricsd& metrics = orc8r_.metrics();
+  EXPECT_FALSE(metrics.latest("gw1", "sli_attach_success_rate").has_value());
+  EXPECT_EQ(metrics.latest("gw0", "sli_attach_success_rate").value_or(-1),
+            0.5);
 }
 
 }  // namespace

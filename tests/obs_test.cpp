@@ -1,15 +1,10 @@
-// Observability primitives: tracer spans/propagation, latency histograms,
-// structured events, and the Chrome trace_event exporter.
+// Observability primitives: tracer spans/propagation, latency histograms
+// and structured events.
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <map>
-#include <memory>
 #include <string>
-#include <variant>
 #include <vector>
 
-#include "obs/chrome_trace.h"
 #include "obs/events.h"
 #include "obs/histogram.h"
 #include "obs/trace.h"
@@ -172,16 +167,18 @@ TEST(Tracer, ErrorTagPinsTraceAgainstEviction) {
 TEST(Tracer, PinCapReleasesOldestPinFirst) {
   sim::Kernel kernel;
   Tracer tracer(kernel);
-  tracer.set_max_pinned_traces(2);
   TraceContext first{};
-  for (int i = 0; i < 3; ++i) {
+  TraceContext second{};
+  for (std::size_t i = 0; i < Tracer::kMaxPinnedTraces + 1; ++i) {
     const TraceContext span = tracer.begin("op", "svc", "gw0");
     if (i == 0) first = span;
+    if (i == 1) second = span;
     tracer.tag(span, "error", "boom");
     tracer.end(span);
   }
-  EXPECT_EQ(tracer.pinned_traces(), 2u);
+  EXPECT_EQ(tracer.pinned_traces(), Tracer::kMaxPinnedTraces);
   EXPECT_FALSE(tracer.trace_pinned(first.trace_id));
+  EXPECT_TRUE(tracer.trace_pinned(second.trace_id));
 }
 
 TEST(Tracer, AddWaitAccumulatesOnOpenSpansOnly) {
@@ -340,9 +337,12 @@ TEST(EventReport, CodecRoundTrip) {
   events[0].trace = TraceContext{77, 78};
   events[1].severity = EventSeverity::kError;
 
-  auto decoded = decode_event_report(encode_event_report(events));
+  // No gateway id on the wire: the decoder stamps the envelope's.
+  auto decoded = decode_event_report(encode_event_report(events), "gw7");
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded.value().size(), 2u);
+  EXPECT_EQ(decoded.value()[0].gateway_id, "gw7");
+  EXPECT_EQ(decoded.value()[1].gateway_id, "gw7");
   EXPECT_EQ(decoded.value()[0].time, 123 * sim::kMillisecond);
   EXPECT_EQ(decoded.value()[0].type, "attach_success");
   EXPECT_EQ(decoded.value()[0].trace.trace_id, 77u);
@@ -351,280 +351,7 @@ TEST(EventReport, CodecRoundTrip) {
 }
 
 TEST(EventReport, CodecRejectsGarbage) {
-  EXPECT_FALSE(decode_event_report(common::to_bytes("nope")).ok());
-}
-
-// ---------------------------------------------------------------------------
-// Chrome trace export — validated with a real (minimal) JSON parser.
-// ---------------------------------------------------------------------------
-
-struct JsonValue;
-using JsonObject = std::map<std::string, JsonValue>;
-using JsonArray = std::vector<JsonValue>;
-
-struct JsonValue {
-  std::variant<std::nullptr_t, bool, double, std::string,
-               std::shared_ptr<JsonArray>, std::shared_ptr<JsonObject>>
-      v = nullptr;
-
-  bool is_object() const {
-    return std::holds_alternative<std::shared_ptr<JsonObject>>(v);
-  }
-  const JsonObject& object() const {
-    return *std::get<std::shared_ptr<JsonObject>>(v);
-  }
-  const JsonArray& array() const {
-    return *std::get<std::shared_ptr<JsonArray>>(v);
-  }
-  double number() const { return std::get<double>(v); }
-  const std::string& str() const { return std::get<std::string>(v); }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool parse(JsonValue& out) {
-    const bool ok = value(out);
-    skip_ws();
-    return ok && pos_ == text_.size();
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool literal(const char* s) {
-    const std::size_t n = std::string(s).size();
-    if (text_.compare(pos_, n, s) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-  bool value(JsonValue& out) {
-    skip_ws();
-    if (pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') return object(out);
-    if (c == '[') return array(out);
-    if (c == '"') {
-      std::string s;
-      if (!string(s)) return false;
-      out.v = s;
-      return true;
-    }
-    if (literal("true")) { out.v = true; return true; }
-    if (literal("false")) { out.v = false; return true; }
-    if (literal("null")) { out.v = nullptr; return true; }
-    return number(out);
-  }
-  bool string(std::string& out) {
-    if (text_[pos_] != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return false;
-        switch (text_[pos_]) {
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u':
-            if (pos_ + 4 >= text_.size()) return false;
-            out += '?';  // escaped control char: content irrelevant here
-            pos_ += 4;
-            break;
-          default: out += text_[pos_];
-        }
-      } else {
-        out += text_[pos_];
-      }
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-  bool number(JsonValue& out) {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    out.v = std::stod(text_.substr(start, pos_ - start));
-    return true;
-  }
-  bool array(JsonValue& out) {
-    ++pos_;  // '['
-    auto arr = std::make_shared<JsonArray>();
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      out.v = arr;
-      return true;
-    }
-    while (true) {
-      JsonValue element;
-      if (!value(element)) return false;
-      arr->push_back(std::move(element));
-      skip_ws();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') { ++pos_; continue; }
-      if (text_[pos_] == ']') { ++pos_; break; }
-      return false;
-    }
-    out.v = arr;
-    return true;
-  }
-  bool object(JsonValue& out) {
-    ++pos_;  // '{'
-    auto obj = std::make_shared<JsonObject>();
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      out.v = obj;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (pos_ >= text_.size() || !string(key)) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return false;
-      ++pos_;
-      JsonValue val;
-      if (!value(val)) return false;
-      (*obj)[key] = std::move(val);  // duplicate keys: last one wins
-      skip_ws();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') { ++pos_; continue; }
-      if (text_[pos_] == '}') { ++pos_; break; }
-      return false;
-    }
-    out.v = obj;
-    return true;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-TEST(ChromeTrace, ExportRoundTripsThroughJsonParser) {
-  sim::Kernel kernel;
-  Tracer tracer(kernel);
-
-  TraceContext root{}, child{};
-  kernel.schedule(sim::kMillisecond, [&]() {
-    root = tracer.begin("attach", "lte_frontend", "gw0");
-    tracer.tag(root, "imsi", "IMSI\"quoted\"");  // exercise escaping
-    const Tracer::Scope scope(&tracer, root);
-    child = tracer.begin("begin_attach", "accessd", "gw0");
-  });
-  kernel.schedule(3 * sim::kMillisecond, [&]() { tracer.end(child); });
-  kernel.schedule(9 * sim::kMillisecond, [&]() { tracer.end(root); });
-  kernel.run_until(sim::kSecond);
-
-  const std::string json = export_chrome_trace(tracer);
-  JsonValue doc;
-  ASSERT_TRUE(JsonParser(json).parse(doc)) << json;
-  ASSERT_TRUE(doc.is_object());
-  const JsonObject& top = doc.object();
-  EXPECT_EQ(top.at("displayTimeUnit").str(), "ms");
-
-  const JsonArray& events = top.at("traceEvents").array();
-  int metadata = 0;
-  int complete = 0;
-  for (const JsonValue& event : events) {
-    const JsonObject& e = event.object();
-    const std::string& ph = e.at("ph").str();
-    if (ph == "M") {
-      ++metadata;
-      continue;
-    }
-    ASSERT_EQ(ph, "X");
-    ++complete;
-    EXPECT_GT(e.at("pid").number(), 0);
-    EXPECT_GT(e.at("tid").number(), 0);
-    EXPECT_GE(e.at("dur").number(), 0);
-    const JsonObject& args = e.at("args").object();
-    EXPECT_EQ(args.at("trace_id").number(), static_cast<double>(root.trace_id));
-    if (e.at("name").str() == "attach") {
-      EXPECT_EQ(args.at("imsi").str(), "IMSI\"quoted\"");
-      EXPECT_DOUBLE_EQ(e.at("ts").number(), 1000.0);   // 1 ms in µs
-      EXPECT_DOUBLE_EQ(e.at("dur").number(), 8000.0);  // 8 ms
-    } else {
-      EXPECT_EQ(args.at("parent_span_id").number(),
-                static_cast<double>(root.span_id));
-    }
-  }
-  EXPECT_EQ(metadata, 3);  // 1 process + 2 threads
-  EXPECT_EQ(complete, 2);
-}
-
-TEST(ChromeTrace, FilterByTraceId) {
-  sim::Kernel kernel;
-  Tracer tracer(kernel);
-  const TraceContext a = tracer.begin("a", "svc", "node");
-  tracer.end(a);
-  const TraceContext b = tracer.begin("b", "svc", "node");
-  tracer.end(b);
-
-  const std::string json = export_chrome_trace(tracer, b.trace_id);
-  JsonValue doc;
-  ASSERT_TRUE(JsonParser(json).parse(doc));
-  int complete = 0;
-  for (const JsonValue& event : doc.object().at("traceEvents").array()) {
-    if (event.object().at("ph").str() == "X") {
-      ++complete;
-      EXPECT_EQ(event.object().at("name").str(), "b");
-    }
-  }
-  EXPECT_EQ(complete, 1);
-}
-
-TEST(ChromeTrace, ExportsWaitStateArgsElidingZeroes) {
-  sim::Kernel kernel;
-  Tracer tracer(kernel);
-  const TraceContext span = tracer.begin("op", "svc", "gw0");
-  tracer.add_wait(span, WaitState::kLinkTransit, 2 * sim::kMillisecond);
-  tracer.end(span);
-  const std::string json = export_chrome_trace(tracer);
-  EXPECT_NE(json.find("\"wait_link_transit_ms\":2.000000"), std::string::npos);
-  EXPECT_EQ(json.find("wait_cpu_ms"), std::string::npos);
-}
-
-TEST(ChromeTrace, ExportsLinksAndErrorMarkers) {
-  sim::Kernel kernel;
-  Tracer tracer(kernel);
-  const TraceContext batched = tracer.begin("attach", "accessd", "gw0");
-  tracer.end(batched);
-  const TraceContext ship = tracer.begin("ship_events", "magmad", "gw0");
-  tracer.link(ship, batched);
-  tracer.tag(ship, "error", "report lost");
-  tracer.end(ship);
-
-  const std::string json = export_chrome_trace(tracer, ship.trace_id);
-  JsonValue doc;
-  ASSERT_TRUE(JsonParser(json).parse(doc)) << json;
-  int complete = 0;
-  for (const JsonValue& event : doc.object().at("traceEvents").array()) {
-    const JsonObject& e = event.object();
-    if (e.at("ph").str() != "X") continue;
-    ++complete;
-    const JsonObject& args = e.at("args").object();
-    ASSERT_EQ(args.count("error"), 1u);
-    EXPECT_EQ(args.at("links").str(),
-              std::to_string(batched.trace_id) + ":" +
-                  std::to_string(batched.span_id));
-  }
-  EXPECT_EQ(complete, 1);
-  // The machine-readable error marker rides next to the error tag.
-  EXPECT_NE(json.find("\"error\":true"), std::string::npos);
+  EXPECT_FALSE(decode_event_report(common::to_bytes("nope"), "gw0").ok());
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 // serialization, file persistence.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 
 #include "store/wal_store.h"
 
@@ -106,23 +105,6 @@ TEST(WalStore, SerializeDeserializeRoundTrip) {
 TEST(WalStore, DeserializeRejectsGarbage) {
   const auto garbage = to_bytes("not a store image");
   EXPECT_FALSE(WalStore::deserialize(garbage).ok());
-}
-
-TEST(WalStore, FileRoundTrip) {
-  const std::string path = "/tmp/magma_walstore_test.bin";
-  WalStore store;
-  store.put("persisted", to_bytes("yes"));
-  ASSERT_TRUE(store.save_to_file(path).ok());
-
-  auto loaded = WalStore::load_from_file(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().get("persisted").value(), to_bytes("yes"));
-  std::remove(path.c_str());
-}
-
-TEST(WalStore, LoadMissingFileFails) {
-  EXPECT_EQ(WalStore::load_from_file("/tmp/definitely_missing_49x").code(),
-            common::ErrorCode::kNotFound);
 }
 
 }  // namespace
